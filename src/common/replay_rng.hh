@@ -1,26 +1,31 @@
 /**
  * @file
- * Bit-exact batched replica of the simulator's std-library RNG stack,
- * used only by the blocked replay engine.
+ * Bit-exact fast replica of the simulator's std-library RNG stack.
  *
- * The reference engine draws through Rng (std::mt19937_64 +
- * std::bernoulli_distribution / std::uniform_int_distribution). Those
- * draws are *semantic*: the flush-jitter coin and the obfuscated-branch
- * direction/target feed timing and the branch predictor, so the blocked
- * engine must consume the identical value stream or it stops being
- * bit-identical to the oracle. They are also the dominant cost of the
- * replay loop (a std::bernoulli_distribution draw is ~5x the price of
- * the whole dispatch + queue machinery around it), almost all of it
- * spent in per-call distribution-object and generate_canonical
- * boilerplate rather than in the Mersenne twister itself.
+ * Rng (std::mt19937_64 + std::bernoulli_distribution /
+ * std::uniform_int_distribution) is the simulator's semantic source of
+ * randomness: the CPU's flush-jitter coin and obfuscated-branch draws,
+ * the TRR sampler's coins and the per-row weak-cell field all feed
+ * observable behaviour, so any faster path must consume the identical
+ * value stream or it stops being bit-identical to the oracle. Those
+ * draws are also expensive for reasons that have nothing to do with
+ * the Mersenne twister itself: per-call distribution-object and
+ * generate_canonical boilerplate, a branchy twist, and — for a
+ * generator seeded only to make a handful of draws — 312 seeding
+ * multiplies plus a full 312-word twist up front.
  *
  * ReplayRng removes the boilerplate, not the semantics. It holds a
  * mersenne_twister_engine state with the mt19937_64 parameters and
  * re-implements, against the installed libstdc++:
  *
- *  - operator(): lazy block twist + tempering, word-for-word the
- *    standard algorithm (the output sequence is fixed by the C++
- *    standard, not an implementation detail);
+ *  - operator(): block twist + tempering, word-for-word the standard
+ *    algorithm (the output sequence is fixed by the C++ standard, not
+ *    an implementation detail);
+ *  - the seeding constructor: std::mt19937_64(seed)'s state, but the
+ *    first block is seeded and twisted lazily, word by word in the
+ *    standard's order. Twisted word k reads seed words k+1 and k+156
+ *    (k < 156), or seed word k+1 and twisted word k-156, so an engine
+ *    that makes n draws computes about 156+n words instead of 624;
  *  - generate_canonical<double, 53>: for a 64-bit engine the generic
  *    loop collapses to one draw, double(x) / 2^64, clamped to
  *    nextafter(1, 0) when the conversion rounds up to 1.0;
@@ -31,19 +36,23 @@
  *    taken whenever the engine range is 2^64.
  *
  * chance() additionally mirrors Rng::chance's p <= 0 / p >= 1
- * short-circuits, which consume no engine output.
+ * short-circuits, which consume no engine output. ReplayRng is also a
+ * standard UniformRandomBitGenerator with mt19937_64's result_type,
+ * min() and max(), so any std distribution run over it makes the same
+ * draws and returns the same values as over std::mt19937_64.
  *
  * State moves between a ReplayRng and an Rng through the engine's
  * standard text serialization at run boundaries (313 integers, once
  * per SimCpu::run, amortized over every draw in the run), so reference
  * and blocked runs of the same SimCpu consume one continuous stream.
- * test_cpu_oracle pins raw-stream equality against std::mt19937_64 and
+ * test_cpu_oracle pins raw-stream equality against std::mt19937_64
+ * (seeded and imported), the std distributions over both engines, and
  * round-trips the state both ways; the golden traces pin the composed
  * behavior end to end.
  */
 
-#ifndef RHO_CPU_REPLAY_RNG_HH
-#define RHO_CPU_REPLAY_RNG_HH
+#ifndef RHO_COMMON_REPLAY_RNG_HH
+#define RHO_COMMON_REPLAY_RNG_HH
 
 #include <cmath>
 #include <cstddef>
@@ -58,6 +67,23 @@ class Rng;
 class ReplayRng
 {
   public:
+    using result_type = std::uint64_t;
+
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type(0); }
+
+    /** A zero state; importFrom() gives it a stream. */
+    ReplayRng() = default;
+
+    /**
+     * The std::mt19937_64(seed) stream. Only state[0] is seeded here;
+     * the rest of the first block is seeded and twisted on demand.
+     */
+    explicit ReplayRng(std::uint64_t seed) : idx(0), avail(0), seeded(1)
+    {
+        state[0] = seed;
+    }
+
     /** Copy the engine state out of an Rng (its next draw is ours). */
     void importFrom(const Rng &src);
 
@@ -68,15 +94,13 @@ class ReplayRng
     std::uint64_t
     next()
     {
-        if (idx >= kN)
-            twist();
-        std::uint64_t z = state[idx++];
-        z ^= (z >> 29) & 0x5555555555555555ULL;
-        z ^= (z << 17) & 0x71d67fffeda60000ULL;
-        z ^= (z << 37) & 0xfff7eee000000000ULL;
-        z ^= z >> 43;
-        return z;
+        if (idx >= avail)
+            refill();
+        return temper(state[idx++]);
     }
+
+    /** The UniformRandomBitGenerator call: next(). */
+    result_type operator()() { return next(); }
 
     /** Exact replica of Rng::chance (incl. its draw-free edges). */
     bool
@@ -101,14 +125,9 @@ class ReplayRng
     std::uint64_t
     peek()
     {
-        if (idx >= kN)
-            twist();
-        std::uint64_t z = state[idx];
-        z ^= (z >> 29) & 0x5555555555555555ULL;
-        z ^= (z << 17) & 0x71d67fffeda60000ULL;
-        z ^= (z << 37) & 0xfff7eee000000000ULL;
-        z ^= z >> 43;
-        return z;
+        if (idx >= avail)
+            refill();
+        return temper(state[idx]);
     }
 
     void consumeIf(bool take) { idx += take; }
@@ -135,6 +154,16 @@ class ReplayRng
     }
 
   private:
+    static std::uint64_t
+    temper(std::uint64_t z)
+    {
+        z ^= (z >> 29) & 0x5555555555555555ULL;
+        z ^= (z << 17) & 0x71d67fffeda60000ULL;
+        z ^= (z << 37) & 0xfff7eee000000000ULL;
+        z ^= z >> 43;
+        return z;
+    }
+
     /**
      * Round-to-nearest uint64 -> double without the compiler's
      * sign-test branch. x86-64 has no unsigned conversion before
@@ -167,14 +196,25 @@ class ReplayRng
         return ret;
     }
 
+    /** Slow path of next()/peek(): extend the lazy block or twist. */
+    void refill();
+    /** Seed and twist the lazy first block up to word `end`. */
+    void extendFirstBlock(std::size_t end);
+    /** Twist the whole block and restart reading it. */
     void twist();
 
     static constexpr std::size_t kN = 312;
 
+    // Words [0, avail) of the current block are twisted and readable;
+    // idx is the next one to read. While the first block of a seeded
+    // engine is still lazy, avail < kN, slots [avail, seeded) hold
+    // seed words and the slots past them are not yet seeded.
     std::uint64_t state[kN] = {};
     std::size_t idx = kN;
+    std::size_t avail = kN;
+    std::size_t seeded = kN;
 };
 
 } // namespace rho
 
-#endif // RHO_CPU_REPLAY_RNG_HH
+#endif // RHO_COMMON_REPLAY_RNG_HH

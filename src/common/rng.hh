@@ -125,7 +125,7 @@ class Rng
     /**
      * Engine state in the standard mersenne_twister_engine text
      * serialization (312 state words + read position). Lets an exact
-     * engine replica (cpu/replay_rng.hh) take over the stream and hand
+     * engine replica (common/replay_rng.hh) take over the stream and hand
      * it back without disturbing it.
      */
     std::string saveEngineState() const;

@@ -53,6 +53,7 @@
 #include <deque>
 #include <vector>
 
+#include "common/replay_rng.hh"
 #include "common/rng.hh"
 #include "cpu/arch_params.hh"
 #include "cpu/block_plan.hh"
@@ -60,7 +61,6 @@
 #include "cpu/cache_model.hh"
 #include "cpu/kernel.hh"
 #include "cpu/perf_counters.hh"
-#include "cpu/replay_rng.hh"
 #include "trace/tracer.hh"
 
 namespace rho

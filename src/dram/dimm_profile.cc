@@ -1,22 +1,30 @@
 #include "dram/dimm_profile.hh"
 
 #include <cmath>
+#include <random>
 
 #include "common/logging.hh"
+#include "common/replay_rng.hh"
 #include "common/rng.hh"
 
 namespace rho
 {
 
+// The draws are Rng's (poisson, uniformInt, chance, logNormal: one
+// fresh std distribution per call, the same draw-free edges) run over
+// a ReplayRng, which seeds only as much of its first block as the
+// handful of draws needs. test_dram pins the cells against the Rng
+// derivation on every profile.
 std::vector<WeakCell>
 DimmProfile::weakCellsFor(std::uint32_t bank, std::uint64_t row) const
 {
     std::vector<WeakCell> cells;
-    if (!flippable)
+    if (!flippable || weakCellsPerRow <= 0.0)
         return cells;
 
-    Rng rng(hashCombine(seed, hashCombine(bank, row)));
-    std::uint64_t n = rng.poisson(weakCellsPerRow);
+    ReplayRng rng(hashCombine(seed, hashCombine(bank, row)));
+    std::uint64_t n =
+        std::poisson_distribution<std::uint64_t>(weakCellsPerRow)(rng);
     cells.reserve(n);
     std::uint32_t max_bit = static_cast<std::uint32_t>(geom.rowBytes * 8);
     for (std::uint64_t i = 0; i < n; ++i) {
@@ -24,7 +32,8 @@ DimmProfile::weakCellsFor(std::uint32_t bank, std::uint64_t row) const
         c.bitOffset = static_cast<std::uint32_t>(
             rng.uniformInt(0, max_bit - 1));
         c.trueCell = rng.chance(0.5);
-        double hc = rng.logNormal(hcLogMean, hcLogSigma);
+        double hc = std::lognormal_distribution<double>(
+            hcLogMean, hcLogSigma)(rng);
         c.threshold = static_cast<std::uint32_t>(
             std::max<double>(hcMin, hc));
         cells.push_back(c);

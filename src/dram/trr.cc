@@ -6,17 +6,30 @@ namespace rho
 {
 
 TrrSampler::TrrSampler(const TrrConfig &cfg_, std::uint32_t num_banks)
-    : cfg(cfg_), tables(num_banks), rng(cfg_.seed)
+    : cfg(cfg_), entries(std::size_t(num_banks) * cfg_.counters),
+      fill(num_banks, 0), rng(cfg_.seed)
 {
 }
 
 void
 TrrSampler::reset()
 {
-    for (auto &table : tables)
-        table.clear();
-    rng = Rng(cfg.seed);
+    std::fill(fill.begin(), fill.end(), 0);
+    rng = ReplayRng(cfg.seed);
     issued = 0;
+}
+
+template <typename Pred>
+void
+TrrSampler::compact(std::uint32_t bank, Pred gone)
+{
+    Entry *table = entries.data() + std::size_t(bank) * cfg.counters;
+    std::uint32_t kept = 0;
+    for (std::uint32_t i = 0; i < fill[bank]; ++i) {
+        if (!gone(table[i]))
+            table[kept++] = table[i];
+    }
+    fill[bank] = kept;
 }
 
 std::optional<TrrTarget>
@@ -34,17 +47,18 @@ TrrSampler::observeAct(std::uint32_t bank, std::uint64_t row, Ns now)
     if (!rng.chance(cfg.sampleProb))
         return ptrr_hit;
 
-    auto &table = tables[bank];
-    for (auto &e : table) {
-        if (e.row == row) {
-            ++e.count;
+    Entry *table = entries.data() + std::size_t(bank) * cfg.counters;
+    std::uint32_t &n = fill[bank];
+    for (std::uint32_t i = 0; i < n; ++i) {
+        if (table[i].row == row) {
+            ++table[i].count;
             RHO_TRACE(tracer, now, EventKind::TrrSample, 0, bank, row,
-                      e.count);
+                      table[i].count);
             return ptrr_hit;
         }
     }
-    if (table.size() < cfg.counters) {
-        table.push_back({row, 1});
+    if (n < cfg.counters) {
+        table[n++] = {row, 1};
         RHO_TRACE(tracer, now, EventKind::TrrSample, 0, bank, row, 1);
         return ptrr_hit;
     }
@@ -52,11 +66,11 @@ TrrSampler::observeAct(std::uint32_t bank, std::uint64_t row, Ns now)
     // This is the churn non-uniform patterns exploit: enough distinct
     // decoy rows keep true aggressor counts pinned near zero.
     RHO_TRACE(tracer, now, EventKind::TrrSample, 0, bank, row, 0);
-    for (auto &e : table) {
-        if (e.count > 0)
-            --e.count;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        if (table[i].count > 0)
+            --table[i].count;
     }
-    std::erase_if(table, [&](const Entry &e) {
+    compact(bank, [&](const Entry &e) {
         if (e.count != 0)
             return false;
         RHO_TRACE(tracer, now, EventKind::TrrEvict, 0, bank, e.row, 0);
@@ -74,27 +88,28 @@ TrrSampler::onRefreshTick(Ns now)
         return out;
 
     // Gather rows over threshold across banks, strongest first.
-    struct Cand { std::uint32_t bank; std::size_t idx; std::uint32_t cnt; };
+    // Candidates are gathered bank by bank in table order, so the
+    // (unstable) sort sees the same sequence as it always has.
+    struct Cand { std::uint32_t bank; std::uint64_t row; std::uint32_t cnt; };
     std::vector<Cand> cands;
-    for (std::uint32_t b = 0; b < tables.size(); ++b) {
-        for (std::size_t i = 0; i < tables[b].size(); ++i) {
-            if (tables[b][i].count >= cfg.matchThreshold)
-                cands.push_back({b, i, tables[b][i].count});
+    for (std::uint32_t b = 0; b < fill.size(); ++b) {
+        const Entry *table = entries.data() + std::size_t(b) * cfg.counters;
+        for (std::uint32_t i = 0; i < fill[b]; ++i) {
+            if (table[i].count >= cfg.matchThreshold)
+                cands.push_back({b, table[i].row, table[i].count});
         }
     }
     std::sort(cands.begin(), cands.end(),
               [](const Cand &a, const Cand &b) { return a.cnt > b.cnt; });
 
-    std::vector<std::pair<std::uint32_t, std::uint64_t>> to_remove;
     for (const auto &c : cands) {
         if (out.size() >= cfg.maxRefreshesPerTick)
             break;
-        out.push_back({c.bank, tables[c.bank][c.idx].row});
-        to_remove.push_back({c.bank, tables[c.bank][c.idx].row});
+        out.push_back({c.bank, c.row});
     }
-    for (auto [b, row] : to_remove) {
-        std::erase_if(tables[b],
-                      [row](const Entry &e) { return e.row == row; });
+    for (const TrrTarget &t : out) {
+        compact(t.bank,
+                [row = t.row](const Entry &e) { return e.row == row; });
     }
     issued += out.size();
     return out;

@@ -23,7 +23,7 @@
 #include <optional>
 #include <vector>
 
-#include "common/rng.hh"
+#include "common/replay_rng.hh"
 #include "common/types.hh"
 #include "trace/tracer.hh"
 
@@ -108,9 +108,15 @@ class TrrSampler
         std::uint32_t count;
     };
 
+    /** Drop the entries of `bank` that `gone` selects, keeping order. */
+    template <typename Pred> void compact(std::uint32_t bank, Pred gone);
+
     TrrConfig cfg;
-    std::vector<std::vector<Entry>> tables; // per flat bank
-    Rng rng;
+    // Misra-Gries tables: bank b owns entries [b * counters, b *
+    // counters + fill[b]) in insertion order.
+    std::vector<Entry> entries;
+    std::vector<std::uint32_t> fill;
+    ReplayRng rng;
     std::uint64_t issued = 0;
     Tracer *tracer = nullptr;
 };

@@ -39,19 +39,45 @@ MappingFamily::MappingFamily(unsigned phys_bits,
         m.addRow(1ULL << b);
     solver = std::make_shared<Gf2Solver>(m);
     bijective = solver->fullRank();
-}
 
-DramAddr
-MappingFamily::coreDecode(PhysAddr norm) const
-{
-    DramAddr da;
-    for (std::size_t i = 0; i < bankFns.size(); ++i)
-        da.bank |= static_cast<std::uint32_t>(parity(norm, bankFns[i])) << i;
-    for (std::size_t i = 0; i < rowBits.size(); ++i)
-        da.row |= bit(norm, rowBits[i]) << i;
+    // Image of each single address bit, packed bank|row|col with the
+    // column in the low bits. The table needs only the bytes some
+    // function or position reads.
+    for (const auto *bits : {&rowBits, &colBits}) {
+        if (!bits->empty() && bits->back() > 63)
+            fatal("MappingFamily: bit position %u out of range",
+                  bits->back());
+    }
+    std::uint64_t bit_image[64] = {};
+    rowShift = colBits.size();
+    bankShift = colBits.size() + rowBits.size();
     for (std::size_t i = 0; i < colBits.size(); ++i)
-        da.col |= bit(norm, colBits[i]) << i;
-    return da;
+        bit_image[colBits[i]] |= 1ULL << i;
+    for (std::size_t i = 0; i < rowBits.size(); ++i)
+        bit_image[rowBits[i]] |= 1ULL << (rowShift + i);
+    for (std::size_t i = 0; i < bankFns.size(); ++i) {
+        for (std::uint64_t m = bankFns[i]; m; m &= m - 1)
+            bit_image[std::countr_zero(m)] |= 1ULL << (bankShift + i);
+    }
+    rowMask = (1ULL << rowBits.size()) - 1;
+    colMask = (1ULL << colBits.size()) - 1;
+    for (unsigned b = 0; b < 64; ++b) {
+        if (bit_image[b])
+            nDecodeBytes = b / 8 + 1;
+    }
+
+    // Linearity: the images of the byte values in [2^j, 2^(j+1)) are
+    // those of [0, 2^j), each XOR bit j's image.
+    decodeTable.resize(std::size_t(nDecodeBytes) * 256);
+    for (unsigned i = 0; i < nDecodeBytes; ++i) {
+        std::uint64_t *t = &decodeTable[i * 256];
+        t[0] = 0;
+        for (unsigned j = 0; j < 8; ++j) {
+            std::uint64_t img = bit_image[8 * i + j];
+            for (unsigned v = 0; v < (1u << j); ++v)
+                t[(1u << j) + v] = t[v] ^ img;
+        }
+    }
 }
 
 PhysAddr

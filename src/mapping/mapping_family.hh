@@ -145,7 +145,23 @@ class MappingFamily
     std::string describe() const;
 
   protected:
-    DramAddr coreDecode(PhysAddr norm) const;
+    /**
+     * The linear core: one table lookup per address byte. Address bits
+     * no bank function, row bit or column bit selects are ignored.
+     */
+    DramAddr
+    coreDecode(PhysAddr norm) const
+    {
+        std::uint64_t img = 0;
+        for (unsigned i = 0; i < nDecodeBytes; ++i)
+            img ^= decodeTable[i * 256 + ((norm >> (8 * i)) & 0xff)];
+        DramAddr da;
+        da.col = img & colMask;
+        da.row = (img >> rowShift) & rowMask;
+        da.bank = static_cast<std::uint32_t>(img >> bankShift);
+        return da;
+    }
+
     PhysAddr coreEncode(const DramAddr &da) const;
 
   private:
@@ -153,6 +169,15 @@ class MappingFamily
     std::vector<std::uint64_t> bankFns;
     std::vector<unsigned> rowBits;
     std::vector<unsigned> colBits;
+    // decodeTable[i * 256 + v] is the packed bank|row|col image of
+    // byte value v at address byte i; the core is linear, so an
+    // address decodes to the XOR of its bytes' images.
+    std::vector<std::uint64_t> decodeTable;
+    unsigned nDecodeBytes = 0;
+    unsigned rowShift = 0;
+    unsigned bankShift = 0;
+    std::uint64_t rowMask = 0;
+    std::uint64_t colMask = 0;
     std::shared_ptr<const Gf2Solver> solver;
     bool bijective;
 };

@@ -7,11 +7,13 @@
  * stream, same golden trace, same flips, same randomness consumption —
  * across architectures, kernel shapes, seeds and campaign job counts.
  *
- * Also pins the ReplayRng replica (cpu/replay_rng.hh) directly against
+ * Also pins the ReplayRng replica (common/replay_rng.hh) directly against
  * the std library objects it replaces: raw engine stream, bernoulli and
  * uniform-int draws, and the state handoff both ways.
  */
 
+#include <bit>
+#include <cmath>
 #include <random>
 #include <sstream>
 #include <string>
@@ -19,9 +21,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/replay_rng.hh"
 #include "cpu/arch_params.hh"
 #include "cpu/kernel.hh"
-#include "cpu/replay_rng.hh"
 #include "cpu/sim_cpu.hh"
 #include "dram/dimm_profile.hh"
 #include "hammer/sweep.hh"
@@ -150,6 +152,140 @@ TEST(ReplayRng, StateRoundTripsBothWays)
     EXPECT_EQ(b.saveEngineState(), before);
     // And the streams agree after the round trip.
     EXPECT_EQ(a.raw(), b.raw());
+}
+
+namespace
+{
+
+const std::uint64_t kSeeds[] = {0ULL, 1ULL, 0x7272ULL, ~0ULL};
+
+// Draw counts around the lazy first block's edges: the seeding lead
+// (156), the block length (312) and into the second block.
+const int kPrefixes[] = {0, 1, 155, 156, 157, 311, 312, 313, 700};
+
+} // namespace
+
+TEST(ReplayRng, SeededStreamMatchesStdEngine)
+{
+    for (std::uint64_t seed : kSeeds) {
+        ReplayRng rr(seed);
+        std::mt19937_64 eng(seed);
+        for (int i = 0; i < 1000; ++i)
+            ASSERT_EQ(rr(), eng()) << "seed " << seed << " draw " << i;
+    }
+}
+
+TEST(ReplayRng, SeededPrefixHandsOffExactly)
+{
+    // After any prefix, the lazily built state must export to an Rng
+    // that continues the std stream (the block is finished on a copy,
+    // so the ReplayRng itself continues it too).
+    for (std::uint64_t seed : kSeeds) {
+        for (int prefix : kPrefixes) {
+            ReplayRng rr(seed);
+            std::mt19937_64 eng(seed);
+            for (int i = 0; i < prefix; ++i)
+                ASSERT_EQ(rr.next(), eng());
+            Rng handed(0);
+            rr.exportTo(handed);
+            std::mt19937_64 ref = eng;
+            for (int i = 0; i < 400; ++i) {
+                std::uint64_t expect = ref();
+                ASSERT_EQ(handed.raw(), expect)
+                    << "seed " << seed << " prefix " << prefix << " +" << i;
+                ASSERT_EQ(rr.next(), expect)
+                    << "seed " << seed << " prefix " << prefix << " +" << i;
+            }
+        }
+    }
+}
+
+TEST(ReplayRng, SeededPeekConsumeIfInsideLazyBlock)
+{
+    for (std::uint64_t seed : kSeeds) {
+        ReplayRng rr(seed);
+        std::mt19937_64 eng(seed);
+        for (int i = 0; i < 700; ++i) {
+            std::uint64_t expect = eng();
+            ASSERT_EQ(rr.peek(), expect) << "seed " << seed << " draw " << i;
+            ASSERT_EQ(rr.peek(), expect);
+            if (i % 3 == 0) {
+                rr.consumeIf(false);
+                ASSERT_EQ(rr.peek(), expect);
+            }
+            rr.consumeIf(true);
+        }
+    }
+    // A peek at a fresh engine must not disturb the handoff either.
+    ReplayRng rr(5);
+    std::mt19937_64 eng(5);
+    ASSERT_EQ(rr.peek(), std::mt19937_64(5)());
+    Rng handed(0);
+    rr.exportTo(handed);
+    for (int i = 0; i < 400; ++i)
+        ASSERT_EQ(handed.raw(), eng());
+}
+
+TEST(ReplayRng, StdDistributionsMatchOverBothEngines)
+{
+    // One fresh distribution object per call (the way Rng and
+    // DimmProfile::weakCellsFor use them), then the engines' positions.
+    const double means[] = {0.3, 2.5, 11.0, 12.0, 40.0};
+    for (std::uint64_t seed : kSeeds) {
+        for (int prefix : kPrefixes) {
+            ReplayRng rr(seed);
+            std::mt19937_64 eng(seed);
+            for (int i = 0; i < prefix; ++i)
+                ASSERT_EQ(rr(), eng());
+            for (int round = 0; round < 40; ++round) {
+                double mean = means[round % 5];
+                ASSERT_EQ(
+                    std::poisson_distribution<std::uint64_t>(mean)(rr),
+                    std::poisson_distribution<std::uint64_t>(mean)(eng));
+                ASSERT_EQ(
+                    std::uniform_int_distribution<std::uint64_t>(
+                        0, 65535)(rr),
+                    std::uniform_int_distribution<std::uint64_t>(
+                        0, 65535)(eng));
+                ASSERT_EQ(std::bernoulli_distribution(0.37)(rr),
+                          std::bernoulli_distribution(0.37)(eng));
+                double a = std::lognormal_distribution<double>(
+                    std::log(8000.0), 0.4)(rr);
+                double b = std::lognormal_distribution<double>(
+                    std::log(8000.0), 0.4)(eng);
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(a),
+                          std::bit_cast<std::uint64_t>(b))
+                    << "seed " << seed << " prefix " << prefix;
+            }
+            ASSERT_EQ(rr(), eng()) << "seed " << seed << " prefix " << prefix;
+        }
+    }
+    // A long-lived distribution keeps state between calls (the
+    // normal's cached second value); it must see the same draws too.
+    ReplayRng rr(0x7272);
+    std::mt19937_64 eng(0x7272);
+    std::lognormal_distribution<double> da(1.0, 0.5), db(1.0, 0.5);
+    for (int i = 0; i < 1000; ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(da(rr)),
+                  std::bit_cast<std::uint64_t>(db(eng)));
+    }
+    ASSERT_EQ(rr(), eng());
+}
+
+TEST(ReplayRng, SeededChanceAndUniformIntMatchRng)
+{
+    for (std::uint64_t seed : kSeeds) {
+        ReplayRng rr(seed);
+        Rng ref(seed);
+        for (int i = 0; i < 600; ++i) {
+            double p = (i % 7) / 6.0; // includes the draw-free 0 and 1
+            ASSERT_EQ(rr.chance(p), ref.chance(p)) << "draw " << i;
+            ASSERT_EQ(rr.uniformInt(0, 65535), ref.uniformInt(0, 65535));
+        }
+        Rng handed(0);
+        rr.exportTo(handed);
+        EXPECT_EQ(handed.raw(), ref.raw());
+    }
 }
 
 // ---------------------------------------------------------------------

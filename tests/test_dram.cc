@@ -4,10 +4,12 @@
  * machinery, the disturbance/flip mechanism, and the data path.
  */
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "dram/controller.hh"
 #include "dram/dimm.hh"
 #include "dram/dimm_profile.hh"
@@ -67,6 +69,78 @@ TEST(DimmProfile, WeakCellsDeterministic)
     for (std::size_t i = 0; !differs && i < a.size() && i < c.size(); ++i)
         differs = a[i].bitOffset != c[i].bitOffset;
     EXPECT_TRUE(differs || a.empty());
+}
+
+namespace
+{
+
+/**
+ * The Rng-based weak-cell derivation weakCellsFor replaced, kept as
+ * the oracle: the Reference row store shares weakCellsFor, so only a
+ * copy of the original draw sequence can see a drift in the field.
+ */
+std::vector<WeakCell>
+rngWeakCellsFor(const DimmProfile &p, std::uint32_t bank, std::uint64_t row)
+{
+    std::vector<WeakCell> cells;
+    if (!p.flippable)
+        return cells;
+    Rng rng(hashCombine(p.seed, hashCombine(bank, row)));
+    std::uint64_t n = rng.poisson(p.weakCellsPerRow);
+    std::uint32_t max_bit = static_cast<std::uint32_t>(p.geom.rowBytes * 8);
+    for (std::uint64_t i = 0; i < n; ++i) {
+        WeakCell c;
+        c.bitOffset = static_cast<std::uint32_t>(
+            rng.uniformInt(0, max_bit - 1));
+        c.trueCell = rng.chance(0.5);
+        double hc = rng.logNormal(p.hcLogMean, p.hcLogSigma);
+        c.threshold = static_cast<std::uint32_t>(
+            std::max<double>(p.hcMin, hc));
+        cells.push_back(c);
+    }
+    return cells;
+}
+
+} // namespace
+
+TEST(DimmProfile, WeakCellsMatchRngDerivation)
+{
+    std::vector<DimmProfile> profiles;
+    for (const DimmProfile *p : DimmProfile::all())
+        profiles.push_back(*p);
+    profiles.push_back(DimmProfile::ddr5Sample());
+    profiles.push_back(DimmProfile::lpddr4Sample());
+    // Edges: a dense field (Poisson mean >= 12 takes libstdc++'s
+    // rejection path) and a flippable part with a zero mean.
+    DimmProfile dense = DimmProfile::byId("S4");
+    dense.weakCellsPerRow = 20.0;
+    profiles.push_back(dense);
+    DimmProfile empty = DimmProfile::byId("S1");
+    empty.weakCellsPerRow = 0.0;
+    profiles.push_back(empty);
+
+    Rng pick(2024);
+    for (const DimmProfile &p : profiles) {
+        std::uint64_t cells = 0;
+        for (int i = 0; i < 10000; ++i) {
+            auto bank = static_cast<std::uint32_t>(
+                pick.uniformInt(0, p.geom.flatBanks() - 1));
+            std::uint64_t row = pick.uniformInt(0, p.geom.rowsPerBank - 1);
+            auto got = p.weakCellsFor(bank, row);
+            auto want = rngWeakCellsFor(p, bank, row);
+            ASSERT_EQ(got.size(), want.size())
+                << p.id << " bank " << bank << " row " << row;
+            for (std::size_t c = 0; c < got.size(); ++c) {
+                ASSERT_EQ(got[c].bitOffset, want[c].bitOffset) << p.id;
+                ASSERT_EQ(got[c].trueCell, want[c].trueCell) << p.id;
+                ASSERT_EQ(got[c].threshold, want[c].threshold) << p.id;
+            }
+            cells += got.size();
+        }
+        if (p.flippable && p.weakCellsPerRow > 0.0) {
+            EXPECT_GT(cells, 0u) << p.id; // the comparison saw cells
+        }
+    }
 }
 
 TEST(DimmProfile, DensityOrdering)

@@ -138,6 +138,46 @@ TEST_P(PresetMapping, RoundTripAtAddressSpaceBoundaries)
     }
 }
 
+namespace
+{
+
+/** The bit-loop core decode the byte tables replaced (the oracle). */
+DramAddr
+bitLoopDecode(const AddressMapping &m, PhysAddr pa)
+{
+    PhysAddr norm = m.normalize(pa);
+    DramAddr da;
+    const auto &fns = m.bankFnMasks();
+    for (std::size_t i = 0; i < fns.size(); ++i)
+        da.bank |= static_cast<std::uint32_t>(parity(norm, fns[i])) << i;
+    const auto &rows = m.rowBitPositions();
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        da.row |= bit(norm, rows[i]) << i;
+    const auto &cols = m.colBitPositions();
+    for (std::size_t i = 0; i < cols.size(); ++i)
+        da.col |= bit(norm, cols[i]) << i;
+    return da;
+}
+
+} // namespace
+
+TEST_P(PresetMapping, TableDecodeMatchesBitLoop)
+{
+    auto [arch, g] = GetParam();
+    AddressMapping m = mappingFor(arch, g.sizeGib, g.ranks);
+    Rng rng(0xdec0de);
+    for (int i = 0; i < 10000; ++i) {
+        // Half inside the space, half with arbitrary bits above
+        // physBits(), which the decode ignores.
+        PhysAddr pa = i % 2 ? rng.raw() : rng.uniformInt(0, m.memBytes() - 1);
+        DramAddr want = bitLoopDecode(m, pa);
+        DramAddr got = m.decode(pa);
+        ASSERT_EQ(got.bank, want.bank) << "pa=" << pa;
+        ASSERT_EQ(got.row, want.row) << "pa=" << pa;
+        ASSERT_EQ(got.col, want.col) << "pa=" << pa;
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(Table4, PresetMapping,
                          ::testing::ValuesIn(allPresets()));
 

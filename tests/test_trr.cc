@@ -5,14 +5,20 @@
  * sampler, and pTRR must stop everything.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "dram/dimm.hh"
 #include "dram/trr.hh"
 #include "hammer/hammer_session.hh"
 #include "hammer/tuned_configs.hh"
+#include "trace/tracer.hh"
 
 using namespace rho;
 
@@ -73,6 +79,211 @@ TEST(TrrSampler, DisabledSamplerDoesNothing)
         s.observeAct(0, 1);
     EXPECT_TRUE(s.onRefreshTick().empty());
     EXPECT_EQ(s.targetedRefreshes(), 0u);
+}
+
+namespace
+{
+
+/**
+ * The per-bank vector-of-vectors sampler over Rng that TrrSampler's
+ * flat tables and ReplayRng replaced, kept as the differential oracle.
+ */
+class RngTrrSampler
+{
+  public:
+    RngTrrSampler(const TrrConfig &cfg_, std::uint32_t num_banks)
+        : cfg(cfg_), tables(num_banks), rng(cfg_.seed)
+    {
+    }
+
+    void
+    reset()
+    {
+        for (auto &table : tables)
+            table.clear();
+        rng = Rng(cfg.seed);
+        issued = 0;
+    }
+
+    std::optional<TrrTarget>
+    observeAct(std::uint32_t bank, std::uint64_t row, Ns now)
+    {
+        std::optional<TrrTarget> ptrr_hit;
+        if (cfg.ptrr && rng.chance(cfg.ptrrSampleProb)) {
+            ++issued;
+            ptrr_hit = TrrTarget{bank, row};
+        }
+        if (!cfg.enabled || !rng.chance(cfg.sampleProb))
+            return ptrr_hit;
+        auto &table = tables[bank];
+        for (auto &e : table) {
+            if (e.row == row) {
+                ++e.count;
+                RHO_TRACE(tracer, now, EventKind::TrrSample, 0, bank, row,
+                          e.count);
+                return ptrr_hit;
+            }
+        }
+        if (table.size() < cfg.counters) {
+            table.push_back({row, 1});
+            RHO_TRACE(tracer, now, EventKind::TrrSample, 0, bank, row, 1);
+            return ptrr_hit;
+        }
+        RHO_TRACE(tracer, now, EventKind::TrrSample, 0, bank, row, 0);
+        for (auto &e : table) {
+            if (e.count > 0)
+                --e.count;
+        }
+        std::erase_if(table, [&](const Entry &e) {
+            if (e.count != 0)
+                return false;
+            RHO_TRACE(tracer, now, EventKind::TrrEvict, 0, bank, e.row, 0);
+            return true;
+        });
+        return ptrr_hit;
+    }
+
+    std::vector<TrrTarget>
+    onRefreshTick()
+    {
+        std::vector<TrrTarget> out;
+        if (!cfg.enabled)
+            return out;
+        struct Cand { std::uint32_t bank; std::size_t idx; std::uint32_t cnt; };
+        std::vector<Cand> cands;
+        for (std::uint32_t b = 0; b < tables.size(); ++b) {
+            for (std::size_t i = 0; i < tables[b].size(); ++i) {
+                if (tables[b][i].count >= cfg.matchThreshold)
+                    cands.push_back({b, i, tables[b][i].count});
+            }
+        }
+        std::sort(cands.begin(), cands.end(),
+                  [](const Cand &a, const Cand &b) { return a.cnt > b.cnt; });
+        std::vector<std::pair<std::uint32_t, std::uint64_t>> to_remove;
+        for (const auto &c : cands) {
+            if (out.size() >= cfg.maxRefreshesPerTick)
+                break;
+            out.push_back({c.bank, tables[c.bank][c.idx].row});
+            to_remove.push_back({c.bank, tables[c.bank][c.idx].row});
+        }
+        for (auto [b, row] : to_remove) {
+            std::erase_if(tables[b],
+                          [row](const Entry &e) { return e.row == row; });
+        }
+        issued += out.size();
+        return out;
+    }
+
+    std::uint64_t targetedRefreshes() const { return issued; }
+    void setTracer(Tracer *t) { tracer = t; }
+
+  private:
+    struct Entry
+    {
+        std::uint64_t row;
+        std::uint32_t count;
+    };
+
+    TrrConfig cfg;
+    std::vector<std::vector<Entry>> tables;
+    Rng rng;
+    std::uint64_t issued = 0;
+    Tracer *tracer = nullptr;
+};
+
+bool
+sameEvents(const std::vector<TraceEvent> &x, const std::vector<TraceEvent> &y)
+{
+    if (x.size() != y.size())
+        return false;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        if (x[i].when != y[i].when || x[i].kind != y[i].kind
+            || x[i].a != y[i].a || x[i].b != y[i].b || x[i].c != y[i].c)
+            return false;
+    }
+    return true;
+}
+
+} // namespace
+
+TEST(TrrSampler, MatchesRngSamplerOracle)
+{
+    // Random ACT streams — a few hot rows that cross the threshold
+    // among decoys that churn the tables — with refresh ticks and one
+    // mid-stream reset().
+    constexpr std::uint32_t kBanks = 4;
+    TraceConfig tc;
+    tc.enabled = true;
+    tc.categories = CatTrr;
+    tc.capacity = std::size_t{1} << 16;
+    for (unsigned counters : {1u, 4u, 16u}) {
+        for (bool ptrr : {false, true}) {
+            for (double prob : {0.0, 0.25, 1.0}) {
+                TrrConfig cfg;
+                cfg.counters = counters;
+                cfg.ptrr = ptrr;
+                cfg.ptrrSampleProb = 0.01;
+                cfg.sampleProb = prob;
+                cfg.matchThreshold = 6;
+                TrrSampler fast(cfg, kBanks);
+                RngTrrSampler oracle(cfg, kBanks);
+                Tracer fast_tr(tc), oracle_tr(tc);
+                fast.setTracer(&fast_tr);
+                oracle.setTracer(&oracle_tr);
+                std::string tag = "counters " + std::to_string(counters)
+                    + " ptrr " + std::to_string(ptrr) + " p "
+                    + std::to_string(prob);
+
+                Rng stream(counters * 100 + ptrr * 10 + prob * 4);
+                std::size_t targets = 0;
+                std::size_t ptrr_hits = 0;
+                for (int i = 0; i < 20000; ++i) {
+                    Ns now = i * 45.0;
+                    if (i == 9000) {
+                        fast.reset();
+                        oracle.reset();
+                    }
+                    if (i % 97 == 96) {
+                        auto a = fast.onRefreshTick(now);
+                        auto b = oracle.onRefreshTick();
+                        ASSERT_EQ(a.size(), b.size()) << tag << " act " << i;
+                        for (std::size_t t = 0; t < a.size(); ++t) {
+                            ASSERT_EQ(a[t].bank, b[t].bank) << tag;
+                            ASSERT_EQ(a[t].row, b[t].row) << tag;
+                        }
+                        targets += a.size();
+                    }
+                    auto bank = static_cast<std::uint32_t>(
+                        stream.uniformInt(0, kBanks - 1));
+                    std::uint64_t row = stream.chance(0.6)
+                        ? stream.uniformInt(100, 104)
+                        : stream.uniformInt(1000, 1400);
+                    auto a = fast.observeAct(bank, row, now);
+                    auto b = oracle.observeAct(bank, row, now);
+                    ASSERT_EQ(a.has_value(), b.has_value()) << tag;
+                    ptrr_hits += a.has_value();
+                    if (a) {
+                        ASSERT_EQ(a->bank, b->bank) << tag;
+                        ASSERT_EQ(a->row, b->row) << tag;
+                    }
+                    ASSERT_EQ(fast.targetedRefreshes(),
+                              oracle.targetedRefreshes()) << tag;
+                }
+                EXPECT_EQ(fast_tr.dropped(), 0u) << tag;
+                EXPECT_TRUE(sameEvents(fast_tr.events(), oracle_tr.events()))
+                    << tag;
+                // The streams did exercise the sampler (a single
+                // counter is churned too hard to ever trigger).
+                if (prob > 0.0) {
+                    EXPECT_GT(fast_tr.size(), 0u) << tag;
+                }
+                if (prob > 0.0 && counters > 1) {
+                    EXPECT_GT(targets, 0u) << tag;
+                }
+                EXPECT_EQ(ptrr_hits > 0, ptrr) << tag;
+            }
+        }
+    }
 }
 
 namespace
