@@ -28,7 +28,6 @@
  *         "device_acts_per_sec": ...,        // higher is better
  *         "device_wall_ns_per_sim_ns": ...,  // lower is better
  *         "device_speedup_flat_vs_reference": ...,
- *         "e2e_acts_per_sec": ...,           // alias of e2e_blocked
  *         "e2e_wall_ns_per_sim_ns": ...,
  *         "e2e_blocked_acts_per_sec": ...,
  *         "e2e_reference_acts_per_sec": ...,
@@ -270,7 +269,6 @@ const char *const metricNames[] = {
     "device_acts_per_sec",
     "device_wall_ns_per_sim_ns",
     "device_speedup_flat_vs_reference",
-    "e2e_acts_per_sec",
     "e2e_wall_ns_per_sim_ns",
     "e2e_blocked_acts_per_sec",
     "e2e_reference_acts_per_sec",
@@ -287,7 +285,7 @@ const char *const metricNames[] = {
     "e2e_zen3_acts_per_sec",
     "e2e_cortexa72_acts_per_sec",
 };
-constexpr unsigned numMetrics = 14;
+constexpr unsigned numMetrics = 13;
 
 /**
  * Higher-is-better metrics gated by --check. A negative threshold
@@ -302,7 +300,6 @@ struct CheckedMetric
 const CheckedMetric checkedMetrics[] = {
     {"device_acts_per_sec", -1.0},
     {"device_speedup_flat_vs_reference", -1.0},
-    {"e2e_acts_per_sec", -1.0},
     {"e2e_blocked_acts_per_sec", -1.0},
     {"e2e_speedup_blocked_vs_reference", -1.0},
     // Supervisor overhead gate: the sharded service run must keep
@@ -441,11 +438,7 @@ main(int argc, char **argv)
         median3(flat_aps[0], flat_aps[1], flat_aps[2]),
         median3(flat_wps[0], flat_wps[1], flat_wps[2]),
         median3(speedup[0], speedup[1], speedup[2]),
-        median3(e2e_aps[0], e2e_aps[1], e2e_aps[2]),
         median3(e2e_wps[0], e2e_wps[1], e2e_wps[2]),
-        // e2e_blocked is the same measurement as the legacy
-        // e2e_acts_per_sec (the default stack IS the blocked one);
-        // both keys are emitted so old and new baselines stay valid.
         median3(e2e_aps[0], e2e_aps[1], e2e_aps[2]),
         median3(e2e_ref_aps[0], e2e_ref_aps[1], e2e_ref_aps[2]),
         median3(e2e_ref_wps[0], e2e_ref_wps[1], e2e_ref_wps[2]),

@@ -158,8 +158,11 @@ workerMain(int argc, char **argv)
             return rot.journalBitRot(num_bits);
         };
     }
-    return runSweepShardWorker(sc.spec, sc.pattern, sc.cfg, params, seed,
-                               shard, attempt, chaos);
+    return runShardWorker(params, locations, shard, attempt, chaos,
+                          [&](const SweepParams &p) {
+                              sweepCampaign(sc.spec, sc.pattern, sc.cfg, p,
+                                            seed);
+                          });
 }
 
 } // namespace

@@ -113,9 +113,6 @@ TaskJournal::TaskJournal(const std::string &path, std::uint64_t key,
 {
     header = strFormat("rho-journal v2 %s %016llx", kind.c_str(),
                        (unsigned long long)key);
-    std::string v1_header =
-        strFormat("rho-journal v1 %s %016llx", kind.c_str(),
-                  (unsigned long long)key);
 
     std::vector<LoadedLine> good;
     bool reusable = false;
@@ -126,81 +123,53 @@ TaskJournal::TaskJournal(const std::string &path, std::uint64_t key,
         std::string line;
         if (in && std::getline(in, line)) {
             file_existed = true;
-            if (line == header) {
-                // v2: verify every record; stop at the first corrupt
-                // one — everything after it is untrusted (a splice or
-                // bit-rot can shift the tail arbitrarily).
-                reusable = true;
-                recov.fileVersion = 2;
-                std::uint64_t prev_seq = 0;
-                std::size_t total = 0;
-                while (std::getline(in, line)) {
-                    ++total;
-                    if (in.eof()) // torn final line (no newline)
-                        break;
-                    std::istringstream rec(line);
-                    std::string tag, crc_hex;
-                    unsigned index;
-                    std::uint64_t seq;
-                    if (!(rec >> tag >> index >> seq >> crc_hex) ||
-                        (tag != "task" && tag != "meta") ||
-                        crc_hex.size() != 8)
-                        break;
-                    bool is_meta = tag == "meta";
-                    std::uint32_t want =
-                        (std::uint32_t)std::strtoul(crc_hex.c_str(),
-                                                    nullptr, 16);
-                    std::string payload = restOfLine(rec);
-                    std::string image =
-                        crcImage(index, seq, payload, is_meta);
-                    if (crc32(image.data(), image.size()) != want)
-                        break; // bit-rot: reject, truncate here
-                    if (seq <= prev_seq)
-                        break; // duplicate/reordered record
-                    prev_seq = seq;
-                    good.push_back(
-                        {index, seq, std::move(payload), is_meta});
-                }
-                // Count the untrusted suffix after a corrupt record so
-                // recovery reports the full loss, not just line one.
-                while (std::getline(in, line))
-                    ++total;
-                recov.recordsLoaded = good.size();
-                recov.recordsDropped = total - good.size();
-                if (recov.recordsDropped > 0) {
-                    recov.truncatedAtCorruption = true;
-                    needs_rewrite = true;
-                }
-                nextSeq = prev_seq + 1;
-            } else if (line == v1_header) {
-                // v1 (PR 2–6): no seq, no CRC. A line is a complete
-                // record only if the stream did not hit EOF mid-line.
-                reusable = true;
-                recov.fileVersion = 1;
-                recov.upgradedFromV1 = true;
-                needs_rewrite = true;
-                while (std::getline(in, line) && !in.eof()) {
-                    std::istringstream rec(line);
-                    std::string tag;
-                    unsigned index;
-                    if (!(rec >> tag >> index) || tag != "task") {
-                        ++recov.recordsDropped;
-                        continue; // unreadable: skip, keep the rest
-                    }
-                    good.push_back(
-                        {index, nextSeq++, restOfLine(rec), false});
-                }
-                recov.recordsLoaded = good.size();
-            }
+            reusable = line == header;
         }
+        // Verify every record; stop at the first corrupt one —
+        // everything after it is untrusted (a splice or bit-rot can
+        // shift the tail arbitrarily).
+        std::uint64_t prev_seq = 0;
+        std::size_t total = 0;
+        while (reusable && std::getline(in, line)) {
+            ++total;
+            if (in.eof()) // torn final line (no newline)
+                break;
+            std::istringstream rec(line);
+            std::string tag, crc_hex;
+            unsigned index;
+            std::uint64_t seq;
+            if (!(rec >> tag >> index >> seq >> crc_hex) ||
+                (tag != "task" && tag != "meta") || crc_hex.size() != 8)
+                break;
+            bool is_meta = tag == "meta";
+            std::uint32_t want = (std::uint32_t)std::strtoul(
+                crc_hex.c_str(), nullptr, 16);
+            std::string payload = restOfLine(rec);
+            std::string image = crcImage(index, seq, payload, is_meta);
+            if (crc32(image.data(), image.size()) != want)
+                break; // bit-rot: reject, truncate here
+            if (seq <= prev_seq)
+                break; // duplicate/reordered record
+            prev_seq = seq;
+            good.push_back({index, seq, std::move(payload), is_meta});
+        }
+        // Count the untrusted suffix after a corrupt record so
+        // recovery reports the full loss, not just line one.
+        while (reusable && std::getline(in, line))
+            ++total;
+        recov.recordsLoaded = good.size();
+        recov.recordsDropped = total - good.size();
+        if (recov.recordsDropped > 0) {
+            recov.truncatedAtCorruption = true;
+            needs_rewrite = true;
+        }
+        nextSeq = prev_seq + 1;
     }
 
     if (!reusable) {
         // Fresh journal (or a stale one from different parameters).
         recov.discarded = file_existed;
         needs_rewrite = true;
-        good.clear();
-        nextSeq = 1;
     }
 
     for (const LoadedLine &l : good) {

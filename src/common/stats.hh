@@ -142,9 +142,10 @@ struct RetryStats
 };
 
 /**
- * Execution counters of one parallel campaign (sweep / fuzz fan-out):
- * how the work was scheduled and how wall-clock time relates to the
- * simulated time the tasks covered. Filled by parallelMapOrdered().
+ * Execution counters of one parallel campaign: how the work was
+ * scheduled and how wall-clock time relates to the simulated time the
+ * tasks covered. Filled by parallelMapOrdered() and by the campaign
+ * runner (hammer/campaign.hh), which counts executed tasks only.
  */
 struct ParallelStats
 {

@@ -74,27 +74,18 @@ struct EvoParams
     unsigned trialBudget() const { return populationSize * generations; }
 };
 
-/** Merged outcome of an evolutionary search. */
-struct EvoResult
+/**
+ * Merged outcome of an evolutionary search: the blind fuzzer's result
+ * shape (every evaluated trial folds in as one trialled pattern) plus
+ * the search's own counters.
+ */
+struct EvoResult : FuzzResult
 {
-    std::uint64_t totalFlips = 0;   //!< across all effective trials
-    std::uint64_t bestPatternFlips = 0;
-    std::optional<HammerPattern> bestPattern;
-    unsigned effectivePatterns = 0; //!< trials with >= 1 flip
-    unsigned unplaceablePatterns = 0;
-    std::uint64_t trialsRun = 0;    //!< evaluations merged (all gens)
+    std::uint64_t trialsRun = 0; //!< evaluations merged (all gens)
 
     /** Best per-trial flip count seen up to and including each
      *  generation — the search's learning curve. */
     std::vector<std::uint64_t> bestFlipsPerGeneration;
-
-    Ns simTimeNs = 0.0;
-    std::uint64_t dramAccesses = 0;
-
-    FailureCode failure = FailureCode::None;
-    std::string failureReason;
-
-    bool ok() const { return failure == FailureCode::None; }
 };
 
 /**

@@ -1,11 +1,5 @@
 #include "hammer/pattern_fuzzer.hh"
 
-#include <atomic>
-#include <memory>
-#include <sstream>
-
-#include "common/checkpoint.hh"
-#include "common/parallel.hh"
 #include "hammer/sweep.hh"
 
 namespace rho
@@ -16,16 +10,54 @@ PatternFuzzer::PatternFuzzer(HammerSession &session_, std::uint64_t seed)
 {
 }
 
+bool
+rejectParams(FuzzResult &res, std::string err)
+{
+    if (err.empty())
+        return false;
+    res.failure = FailureCode::InvalidPatternParams;
+    res.failureReason = std::move(err);
+    return true;
+}
+
+void
+finishTrials(FuzzResult &res, std::uint64_t trials)
+{
+    if (trials > 0 && res.unplaceablePatterns == trials) {
+        res.failure = FailureCode::PatternUnplaceable;
+        res.failureReason =
+            "every pattern footprint exceeded the bank's row space";
+    }
+}
+
+TrialRecord
+trialPattern(MemorySystem &sys, std::uint64_t task_seed,
+             const HammerPattern &pattern, const HammerConfig &cfg,
+             unsigned locations)
+{
+    HammerSession session(sys, task_seed);
+    TrialRecord r;
+    Ns t0 = sys.now();
+    for (unsigned l = 0; l < locations; ++l) {
+        LocationPick pick = session.tryRandomLocation(pattern, cfg);
+        if (!pick.ok()) {
+            r.unplaceable = 1;
+            break;
+        }
+        HammerOutcome out = session.hammer(pattern, *pick.loc, cfg);
+        r.flips += out.flips;
+        r.dramAccesses += out.perf.dramAccesses;
+    }
+    r.simTimeNs = sys.now() - t0;
+    return r;
+}
+
 FuzzResult
 PatternFuzzer::run(const HammerConfig &cfg, const FuzzParams &params)
 {
     FuzzResult res;
-    if (std::string err = patternParamsError(params.patternParams);
-        !err.empty()) {
-        res.failure = FailureCode::InvalidPatternParams;
-        res.failureReason = err;
+    if (rejectParams(res, patternParamsError(params.patternParams)))
         return res;
-    }
     HammerConfig run_cfg = cfg;
     if (params.refSync)
         run_cfg.refSync = true;
@@ -58,69 +90,9 @@ PatternFuzzer::run(const HammerConfig &cfg, const FuzzParams &params)
         }
     }
     res.simTimeNs = session.system().now() - t0;
-    if (params.numPatterns > 0 &&
-        res.unplaceablePatterns == params.numPatterns) {
-        res.failure = FailureCode::PatternUnplaceable;
-        res.failureReason =
-            "every pattern footprint exceeded the bank's row space";
-    }
+    finishTrials(res, params.numPatterns);
     return res;
 }
-
-namespace
-{
-
-/** What one pattern-trial task reports back for the ordered merge. */
-struct FuzzTaskResult
-{
-    HammerPattern pattern;
-    std::uint64_t flips = 0;
-    std::uint64_t dramAccesses = 0;
-    unsigned unplaceable = 0; //!< 1 when the pattern did not fit
-    Ns simTimeNs = 0.0;
-    // Device totals for the unified metrics (journaled).
-    std::uint64_t acts = 0;
-    std::uint64_t trrRefreshes = 0;
-    std::uint64_t rfmCommands = 0;
-    std::uint64_t pracAlerts = 0;
-    // Per-task trace; never journaled (tracing bypasses restores).
-    std::vector<TraceEvent> events;
-};
-
-/**
- * Journal payload: the numeric outcome only. The pattern itself is a
- * pure function of the task seed and is regenerated on replay. The
- * kind is "fuzz4" — earlier formats ("fuzz" .. "fuzz3" without the
- * placement flag) are discarded via the kind mismatch.
- */
-std::string
-serializeFuzzTask(const FuzzTaskResult &r)
-{
-    std::ostringstream out;
-    out << r.flips << " " << r.dramAccesses << " "
-        << encodeDouble(r.simTimeNs) << " " << r.acts << " "
-        << r.trrRefreshes << " " << r.rfmCommands << " " << r.pracAlerts
-        << " " << r.unplaceable;
-    return out.str();
-}
-
-bool
-parseFuzzTask(const std::string &payload, FuzzTaskResult &r)
-{
-    std::istringstream in(payload);
-    std::string sim_hex;
-    if (!(in >> r.flips >> r.dramAccesses >> sim_hex >> r.acts
-          >> r.trrRefreshes >> r.rfmCommands >> r.pracAlerts
-          >> r.unplaceable))
-        return false;
-    auto sim = decodeDouble(sim_hex);
-    if (!sim)
-        return false;
-    r.simTimeNs = *sim;
-    return true;
-}
-
-} // namespace
 
 std::uint64_t
 fuzzJournalKey(const SystemSpec &spec, const HammerConfig &cfg,
@@ -150,128 +122,48 @@ fuzzCampaign(const SystemSpec &spec, const HammerConfig &cfg,
              ParallelStats *stats, MetricsRegistry *metrics,
              std::vector<TraceEvent> *trace)
 {
-    const bool tracing = spec.trace.enabled;
-    const std::vector<std::uint8_t> *mask = params.taskMask;
-    if (std::string err = patternParamsError(params.patternParams);
-        !err.empty()) {
-        FuzzResult res;
-        res.failure = FailureCode::InvalidPatternParams;
-        res.failureReason = err;
+    FuzzResult res;
+    if (rejectParams(res, patternParamsError(params.patternParams)))
         return res;
-    }
     HammerConfig run_cfg = cfg;
     if (params.refSync)
         run_cfg.refSync = true;
-    std::shared_ptr<TaskJournal> journal;
-    if (!params.checkpointPath.empty()) {
-        journal = std::make_shared<TaskJournal>(
-            params.checkpointPath,
-            fuzzJournalKey(spec, cfg, params, seed), FuzzJournalKind,
-            params.journal);
-    }
-    std::atomic<std::uint64_t> restored{0};
-
-    auto task = [&](unsigned i) -> FuzzTaskResult {
-        if (mask && !(*mask)[i])
-            return FuzzTaskResult{}; // another shard's task
-        std::uint64_t task_seed = hashCombine(seed, i);
+    // Task i's pattern is a pure function of its seed: the body builds
+    // it to run it, the fold rebuilds it only for a new best.
+    auto pattern_of = [&](std::uint64_t task_seed) {
         Rng pattern_rng(task_seed);
-        FuzzTaskResult r;
-        r.pattern = HammerPattern::randomNonUniform(pattern_rng,
-                                                    params.patternParams);
-        // Tracing bypasses restores: a restored task has no events.
-        if (journal && !tracing) {
-            if (auto payload = journal->lookup(i)) {
-                if (parseFuzzTask(*payload, r)) {
-                    restored.fetch_add(1, std::memory_order_relaxed);
-                    return r;
-                }
-            }
-        }
-        MemorySystem sys = spec.instantiate(task_seed);
-        HammerSession session(sys, task_seed);
-        Tracer tracer(spec.trace);
-        if (tracing) {
-            tracer.setTid(static_cast<std::uint16_t>(i));
-            sys.attachTracer(&tracer);
-        }
-        Ns t0 = sys.now();
-        for (unsigned l = 0; l < params.locationsPerPattern; ++l) {
-            LocationPick pick =
-                session.tryRandomLocation(r.pattern, run_cfg);
-            if (!pick.ok()) {
-                r.unplaceable = 1;
-                break;
-            }
-            HammerOutcome out =
-                session.hammer(r.pattern, *pick.loc, run_cfg);
-            r.flips += out.flips;
-            r.dramAccesses += out.perf.dramAccesses;
-        }
-        r.simTimeNs = sys.now() - t0;
-        r.acts = sys.dimm().totalActs();
-        r.trrRefreshes = sys.dimm().trrRefreshCount();
-        r.rfmCommands = sys.dimm().rfmCommandCount();
-        r.pracAlerts = sys.dimm().pracAlertCount();
-        if (tracing) {
-            r.events = tracer.events();
-            sys.attachTracer(nullptr);
-        }
-        if (journal)
-            journal->record(i, serializeFuzzTask(r));
-        return r;
+        return HammerPattern::randomNonUniform(pattern_rng,
+                                               params.patternParams);
     };
 
-    auto tasks = parallelMapOrdered(params.numPatterns, params.jobs,
-                                    task, stats);
-    if (stats) {
-        stats->tasksRestored = restored.load();
-        // Restored tasks did no simulation work; tasksRun counts only
-        // tasks actually executed.
-        stats->tasksRun -= stats->tasksRestored;
-    }
+    Campaign<TrialRecord> campaign(
+        spec, seed,
+        {.jobs = params.jobs,
+         .mask = params.taskMask,
+         .trace = trace,
+         .journalPath = params.checkpointPath,
+         .journalKey = fuzzJournalKey(spec, cfg, params, seed),
+         .journalKind = FuzzJournalKind,
+         .journal = params.journal});
+    auto tasks = campaign.run(
+        0, params.numPatterns,
+        [&](unsigned, MemorySystem &sys, std::uint64_t task_seed) {
+            return trialPattern(sys, task_seed, pattern_of(task_seed),
+                                run_cfg, params.locationsPerPattern);
+        });
 
-    // Merge in task-index order: the serial reduction semantics
-    // (earliest strict maximum wins the best-pattern slot) hold for
-    // any job count.
-    FuzzResult res;
-    unsigned merged = 0;
-    for (unsigned i = 0; i < tasks.size(); ++i) {
-        if (mask && !(*mask)[i])
-            continue; // another shard's task: no merge contribution
-        FuzzTaskResult &t = tasks[i];
-        ++merged;
-        res.unplaceablePatterns += t.unplaceable;
-        if (t.flips > 0) {
-            ++res.effectivePatterns;
-            res.totalFlips += t.flips;
-        }
-        if (t.flips > res.bestPatternFlips) {
-            res.bestPatternFlips = t.flips;
-            res.bestPattern = std::move(t.pattern);
-        }
-        res.dramAccesses += t.dramAccesses;
-        res.simTimeNs += t.simTimeNs;
-        if (metrics) {
-            metrics->add("dram.acts", t.acts);
-            metrics->add("dram.refreshes.trr", t.trrRefreshes);
-            metrics->add("dram.refreshes.rfm", t.rfmCommands);
-            metrics->add("dram.alerts.prac", t.pracAlerts);
-            metrics->add("cpu.dram_accesses", t.dramAccesses);
-            metrics->add("hammer.flips", t.flips);
-        }
-        if (trace)
-            trace->insert(trace->end(), t.events.begin(), t.events.end());
+    for (const auto &t : tasks) {
+        foldTrial(res, t.record,
+                  [&] { return pattern_of(hashCombine(seed, t.index)); },
+                  metrics);
     }
     if (metrics)
-        metrics->add("campaign.patterns", merged);
-    if (stats)
+        metrics->add("campaign.patterns", tasks.size());
+    if (stats) {
+        *stats = campaign.stats();
         stats->simNs = res.simTimeNs;
-    if (merged > 0 && res.unplaceablePatterns == merged) {
-        res.failure = FailureCode::PatternUnplaceable;
-        res.failureReason =
-            "every pattern footprint exceeded the bank's row space";
     }
+    finishTrials(res, tasks.size());
     return res;
 }
 

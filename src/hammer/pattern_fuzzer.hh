@@ -24,6 +24,7 @@
 
 #include "common/checkpoint.hh"
 #include "common/stats.hh"
+#include "hammer/campaign.hh"
 #include "hammer/hammer_session.hh"
 #include "trace/metrics.hh"
 
@@ -93,6 +94,72 @@ struct FuzzResult
 
     bool ok() const { return failure == FailureCode::None; }
 };
+
+/**
+ * One pattern trial's journal record: the payload of both the "fuzz4"
+ * and the "evofuzz1" journal kinds. The pattern itself is not stored;
+ * each engine can rebuild it from the trial index.
+ */
+struct TrialRecord
+{
+    std::uint64_t flips = 0;
+    std::uint64_t dramAccesses = 0;
+    Ns simTimeNs = 0.0;
+    DeviceTotals device;
+    unsigned unplaceable = 0; //!< 1 when the pattern did not fit
+};
+
+template <>
+inline constexpr auto recordFields<TrialRecord> =
+    std::tuple{&TrialRecord::flips, &TrialRecord::dramAccesses,
+               &TrialRecord::simTimeNs, &TrialRecord::device,
+               &TrialRecord::unplaceable};
+
+/**
+ * Trial `pattern` at `locations` random placements on a fresh
+ * session; stops at the first placement that does not fit.
+ */
+TrialRecord trialPattern(MemorySystem &sys, std::uint64_t task_seed,
+                         const HammerPattern &pattern,
+                         const HammerConfig &cfg, unsigned locations);
+
+/**
+ * Fold one trial into `res`, in trial order: the earliest strict
+ * maximum keeps the best-pattern slot, and `pattern()` is called only
+ * when it does.
+ */
+template <typename PatternOf>
+void
+foldTrial(FuzzResult &res, const TrialRecord &t, PatternOf &&pattern,
+          MetricsRegistry *metrics)
+{
+    res.unplaceablePatterns += t.unplaceable;
+    if (t.flips > 0) {
+        ++res.effectivePatterns;
+        res.totalFlips += t.flips;
+    }
+    if (t.flips > res.bestPatternFlips) {
+        res.bestPatternFlips = t.flips;
+        res.bestPattern = pattern();
+    }
+    res.dramAccesses += t.dramAccesses;
+    res.simTimeNs += t.simTimeNs;
+    if (metrics)
+        addTaskMetrics(*metrics, t.device, t.dramAccesses, t.flips);
+}
+
+/**
+ * Close a fuzz/evo result over `trials` trialled patterns: the
+ * campaign fails with PatternUnplaceable when none of them fit.
+ */
+void finishTrials(FuzzResult &res, std::uint64_t trials);
+
+/**
+ * Reject a campaign before any trial runs: when `err` is non-empty,
+ * `res` fails with InvalidPatternParams and `err` as the reason.
+ * Returns whether it did.
+ */
+bool rejectParams(FuzzResult &res, std::string err);
 
 /** Drives serial fuzzing campaigns over one shared HammerSession. */
 class PatternFuzzer

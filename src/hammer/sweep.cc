@@ -1,12 +1,6 @@
 #include "hammer/sweep.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
-#include <sstream>
-
-#include "common/checkpoint.hh"
-#include "common/parallel.hh"
 
 namespace rho
 {
@@ -97,82 +91,6 @@ sweep(HammerSession &session, const HammerPattern &pattern,
     return res;
 }
 
-namespace
-{
-
-/** What one sweep task reports back for the ordered merge. */
-struct SweepTaskResult
-{
-    std::uint64_t flips = 0;
-    Ns simTimeNs = 0.0;
-    std::vector<FlipRecord> flipList;
-    // Device/core totals for the unified metrics (journaled so a
-    // checkpoint-restored task contributes identical counters).
-    std::uint64_t acts = 0;
-    std::uint64_t trrRefreshes = 0;
-    std::uint64_t rfmCommands = 0;
-    std::uint64_t pracAlerts = 0;
-    std::uint64_t dramAccesses = 0;
-    // Per-task trace; never journaled (tracing bypasses restores).
-    std::vector<TraceEvent> events;
-};
-
-/**
- * One journal line: flips, sim time, flip records, then the metric
- * totals. The journal kind is "sweep3" — earlier formats ("sweep",
- * "sweep2" without the PRAC counter) do not parse and are discarded
- * via the kind mismatch.
- */
-std::string
-serializeSweepTask(const SweepTaskResult &r)
-{
-    std::ostringstream out;
-    out << r.flips << " " << encodeDouble(r.simTimeNs) << " "
-        << r.flipList.size();
-    for (const FlipRecord &f : r.flipList) {
-        out << " " << f.bank << " " << f.row << " " << f.bitOffset << " "
-            << (f.toOne ? 1 : 0) << " " << encodeDouble(f.when);
-    }
-    out << " " << r.acts << " " << r.trrRefreshes << " " << r.rfmCommands
-        << " " << r.pracAlerts << " " << r.dramAccesses;
-    return out.str();
-}
-
-std::optional<SweepTaskResult>
-parseSweepTask(const std::string &payload)
-{
-    std::istringstream in(payload);
-    SweepTaskResult r;
-    std::string sim_hex;
-    std::size_t n = 0;
-    if (!(in >> r.flips >> sim_hex >> n))
-        return std::nullopt;
-    auto sim = decodeDouble(sim_hex);
-    if (!sim)
-        return std::nullopt;
-    r.simTimeNs = *sim;
-    r.flipList.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        FlipRecord f{};
-        int to_one = 0;
-        std::string when_hex;
-        if (!(in >> f.bank >> f.row >> f.bitOffset >> to_one >> when_hex))
-            return std::nullopt;
-        auto when = decodeDouble(when_hex);
-        if (!when)
-            return std::nullopt;
-        f.toOne = to_one != 0;
-        f.when = *when;
-        r.flipList.push_back(f);
-    }
-    if (!(in >> r.acts >> r.trrRefreshes >> r.rfmCommands >> r.pracAlerts
-          >> r.dramAccesses))
-        return std::nullopt;
-    return r;
-}
-
-} // namespace
-
 std::uint64_t
 sweepJournalKey(const SystemSpec &spec, const HammerConfig &cfg,
                 const SweepParams &params, const HammerPattern &pattern,
@@ -181,6 +99,9 @@ sweepJournalKey(const SystemSpec &spec, const HammerConfig &cfg,
     std::uint64_t key = campaignKey(spec, cfg, seed);
     key = hashCombine(key, params.numLocations);
     key = hashCombine(key, pattern.id());
+    // The id alone names a pattern family (every doubleSided(n) shares
+    // one); the fingerprint separates periods and genes.
+    key = hashCombine(key, pattern.genomeFingerprint());
     return key;
 }
 
@@ -190,100 +111,50 @@ sweepCampaign(const SystemSpec &spec, const HammerPattern &pattern,
               std::uint64_t seed, ParallelStats *stats,
               MetricsRegistry *metrics, std::vector<TraceEvent> *trace)
 {
-    const DimmGeometry &geom = spec.dimm->geom;
-    const bool tracing = spec.trace.enabled;
-    const std::vector<std::uint8_t> *mask = params.taskMask;
-
-    std::shared_ptr<TaskJournal> journal;
-    if (!params.checkpointPath.empty()) {
-        journal = std::make_shared<TaskJournal>(
-            params.checkpointPath,
-            sweepJournalKey(spec, cfg, params, pattern, seed),
-            SweepJournalKind, params.journal);
-    }
-    std::atomic<std::uint64_t> restored{0};
-
-    auto task = [&](unsigned i) -> SweepTaskResult {
-        if (mask && !(*mask)[i])
-            return SweepTaskResult{}; // another shard's task
-        // A journal restore has no event stream, so a tracing run
-        // recomputes every task to keep the merged trace complete.
-        if (journal && !tracing) {
-            if (auto payload = journal->lookup(i)) {
-                if (auto r = parseSweepTask(*payload)) {
-                    restored.fetch_add(1, std::memory_order_relaxed);
-                    return std::move(*r);
-                }
-            }
-        }
-        std::uint64_t task_seed = hashCombine(seed, i);
-        MemorySystem sys = spec.instantiate(task_seed);
-        HammerSession session(sys, task_seed);
-        Tracer tracer(spec.trace);
-        if (tracing) {
-            tracer.setTid(static_cast<std::uint16_t>(i));
-            sys.attachTracer(&tracer);
-        }
-        HammerLocation loc = sweepLocationAt(geom, pattern, seed, i);
-
-        Ns t0 = sys.now();
-        HammerOutcome out = session.hammer(pattern, loc, cfg);
-        SweepTaskResult r;
-        r.flips = out.flips;
-        r.simTimeNs = sys.now() - t0;
-        r.flipList = std::move(out.flipList);
-        r.acts = sys.dimm().totalActs();
-        r.trrRefreshes = sys.dimm().trrRefreshCount();
-        r.rfmCommands = sys.dimm().rfmCommandCount();
-        r.pracAlerts = sys.dimm().pracAlertCount();
-        r.dramAccesses = out.perf.dramAccesses;
-        if (tracing)
-            r.events = tracer.events();
-        if (tracing)
-            sys.attachTracer(nullptr);
-        if (journal)
-            journal->record(i, serializeSweepTask(r));
-        return r;
-    };
-
-    auto tasks = parallelMapOrdered(params.numLocations, params.jobs,
-                                    task, stats);
-    if (stats) {
-        stats->tasksRestored = restored.load();
-        // Restored tasks did no simulation work; tasksRun counts only
-        // tasks actually executed.
-        stats->tasksRun -= stats->tasksRestored;
-    }
+    Campaign<SweepRecord> campaign(
+        spec, seed,
+        {.jobs = params.jobs,
+         .mask = params.taskMask,
+         .trace = trace,
+         .journalPath = params.checkpointPath,
+         .journalKey = sweepJournalKey(spec, cfg, params, pattern, seed),
+         .journalKind = SweepJournalKind,
+         .journal = params.journal});
+    auto tasks = campaign.run(
+        0, params.numLocations,
+        [&](unsigned i, MemorySystem &sys, std::uint64_t task_seed) {
+            HammerSession session(sys, task_seed);
+            HammerLocation loc =
+                sweepLocationAt(spec.dimm->geom, pattern, seed, i);
+            Ns t0 = sys.now();
+            HammerOutcome out = session.hammer(pattern, loc, cfg);
+            SweepRecord r;
+            r.flips = out.flips;
+            r.simTimeNs = sys.now() - t0;
+            r.flipList = std::move(out.flipList);
+            r.dramAccesses = out.perf.dramAccesses;
+            return r;
+        });
 
     // Merge in task-index order: identical output for any job count.
     SweepResult res;
-    unsigned merged = 0;
-    for (unsigned i = 0; i < tasks.size(); ++i) {
-        if (mask && !(*mask)[i])
-            continue; // another shard's task: no merge contribution
-        const SweepTaskResult &t = tasks[i];
-        ++merged;
-        res.totalFlips += t.flips;
-        res.flipsPerLocation.push_back(t.flips);
-        res.simTimeNs += t.simTimeNs;
+    for (const auto &t : tasks) {
+        const SweepRecord &r = t.record;
+        res.totalFlips += r.flips;
+        res.flipsPerLocation.push_back(r.flips);
+        res.simTimeNs += r.simTimeNs;
         res.cumulativeTimeNs.push_back(res.simTimeNs);
-        for (const auto &f : t.flipList)
-            res.flipList.push_back(f);
-        if (metrics) {
-            metrics->add("dram.acts", t.acts);
-            metrics->add("dram.refreshes.trr", t.trrRefreshes);
-            metrics->add("dram.refreshes.rfm", t.rfmCommands);
-            metrics->add("dram.alerts.prac", t.pracAlerts);
-            metrics->add("cpu.dram_accesses", t.dramAccesses);
-            metrics->add("hammer.flips", t.flips);
-        }
-        if (trace)
-            trace->insert(trace->end(), t.events.begin(), t.events.end());
+        res.flipList.insert(res.flipList.end(), r.flipList.begin(),
+                            r.flipList.end());
+        if (metrics)
+            addTaskMetrics(*metrics, r.device, r.dramAccesses, r.flips);
     }
     if (metrics)
-        metrics->add("campaign.locations", merged);
-    if (stats)
+        metrics->add("campaign.locations", tasks.size());
+    if (stats) {
+        *stats = campaign.stats();
         stats->simNs = res.simTimeNs;
+    }
     return res;
 }
 

@@ -23,6 +23,7 @@
 
 #include "common/checkpoint.hh"
 #include "common/stats.hh"
+#include "hammer/campaign.hh"
 #include "hammer/hammer_session.hh"
 #include "trace/metrics.hh"
 
@@ -31,6 +32,22 @@ namespace rho
 
 /** Journal kind tag for sweepCampaign() checkpoints. */
 inline constexpr const char *SweepJournalKind = "sweep3";
+
+/** One sweep location's journal record (kind "sweep3"). */
+struct SweepRecord
+{
+    std::uint64_t flips = 0;
+    Ns simTimeNs = 0.0;
+    std::vector<FlipRecord> flipList;
+    DeviceTotals device;
+    std::uint64_t dramAccesses = 0;
+};
+
+template <>
+inline constexpr auto recordFields<SweepRecord> =
+    std::tuple{&SweepRecord::flips, &SweepRecord::simTimeNs,
+               &SweepRecord::flipList, &SweepRecord::device,
+               &SweepRecord::dramAccesses};
 
 /** Campaign sizing for sweepCampaign(). */
 struct SweepParams
@@ -105,7 +122,9 @@ SweepResult sweep(HammerSession &session, const HammerPattern &pattern,
  * out over `params.jobs` workers. Bit-identical results regardless of
  * job count.
  *
- * @param stats optional per-campaign scheduling/timing counters.
+ * @param stats optional per-campaign scheduling/timing counters;
+ *        tasksRun and taskWallMs count executed tasks only (a masked
+ *        or journal-restored task is not run).
  * @param metrics optional unified counters ("dram.acts",
  *        "dram.refreshes.trr", "dram.refreshes.rfm",
  *        "cpu.dram_accesses", "hammer.flips", "campaign.locations",

@@ -1,7 +1,6 @@
 #include "service/campaign_service.hh"
 
 #include <signal.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <memory>
@@ -13,15 +12,6 @@
 namespace rho::service
 {
 
-namespace
-{
-
-/**
- * Chain the worker-side hooks onto journal options: status heartbeat
- * first, then the chaos plan (so the record that trips the chaos is
- * already durable — crash-after-record semantics, the worst case for
- * the resume path).
- */
 JournalOptions
 withWorkerHooks(JournalOptions opts, StatusFile &status,
                 const WorkerChaos &chaos)
@@ -49,6 +39,9 @@ withWorkerHooks(JournalOptions opts, StatusFile &status,
     return opts;
 }
 
+namespace
+{
+
 /** Journal options a worker starts from (before the worker hooks). */
 JournalOptions
 workerJournalOptions(const ServiceParams &service)
@@ -66,14 +59,15 @@ workerJournalOptions(const ServiceParams &service)
 
 /**
  * Shard, supervise, and absorb completed shard journals into the
- * merged journal. On return `mask_out`/`use_mask` describe which tasks
- * the parent's merge run may execute (quarantined shards masked out).
+ * merged journal. On return `mask_out` says which tasks the parent's
+ * merge run may execute (quarantined shards masked out); the report's
+ * code is ShardQuarantined when that mask is needed at all.
  */
 ServiceReport
 superviseAndMerge(unsigned total_tasks, const ServiceParams &service,
                   std::uint64_t journal_key, const char *kind,
                   const WorkerBody &body,
-                  std::vector<std::uint8_t> &mask_out, bool &use_mask)
+                  std::vector<std::uint8_t> &mask_out)
 {
     if (service.journalBase.empty())
         fatal("campaign service: ServiceParams::journalBase is required");
@@ -99,7 +93,7 @@ superviseAndMerge(unsigned total_tasks, const ServiceParams &service,
     // Quarantined shards are excluded from the merge; their tasks are
     // the degradation the FailureCode reports.
     mask_out.assign(std::max(total_tasks, 1u), 1);
-    use_mask = false;
+    bool use_mask = false;
     for (const ShardReport &r : report.supervisor.shards) {
         if (r.state != ShardState::Quarantined)
             continue;
@@ -150,6 +144,48 @@ superviseAndMerge(unsigned total_tasks, const ServiceParams &service,
     return report;
 }
 
+/**
+ * The one service path every campaign kind runs: `campaign(params)`
+ * runs the kind's engine; `tasks`, `journal_key` and `kind` are the
+ * ones that engine journals under.
+ */
+template <typename Params, typename Run>
+auto
+serviceCampaign(const Params &params, unsigned tasks,
+                std::uint64_t journal_key, const char *kind,
+                const ServiceParams &service, Run &&campaign)
+    -> ServiceOutcome<decltype(campaign(params))>
+{
+    Params base = params;
+    base.checkpointPath.clear();
+    base.journal = JournalOptions{};
+    base.taskMask = nullptr;
+
+    WorkerBody body = [&](const ShardSpec &shard, unsigned attempt,
+                          const WorkerChaos &chaos) {
+        Params wp = base;
+        wp.jobs = std::max(1u, service.jobsPerWorker);
+        wp.journal = workerJournalOptions(service);
+        return runShardWorker(std::move(wp), tasks, shard, attempt, chaos,
+                              campaign);
+    };
+
+    ServiceOutcome<decltype(campaign(params))> out;
+    std::vector<std::uint8_t> mask;
+    out.report =
+        superviseAndMerge(tasks, service, journal_key, kind, body, mask);
+
+    // The merge run: replay everything the workers proved, re-execute
+    // whatever was lost, skip quarantined tasks.
+    Params fin = base;
+    fin.checkpointPath = out.report.mergedJournalPath;
+    fin.journal.fsync = service.fsync;
+    if (out.report.code == FailureCode::ShardQuarantined)
+        fin.taskMask = &mask;
+    out.result = campaign(fin);
+    return out;
+}
+
 } // namespace
 
 WorkerChaos
@@ -169,81 +205,17 @@ chaosFromFaults(FaultInjector &faults, const ShardSpec &shard,
     return chaos;
 }
 
-int
-runSweepShardWorker(const SystemSpec &spec, const HammerPattern &pattern,
-                    const HammerConfig &cfg, SweepParams params,
-                    std::uint64_t seed, const ShardSpec &shard,
-                    unsigned attempt, const WorkerChaos &chaos)
-{
-    StatusFile status(shard.statusPath);
-    status.start(shard.id, static_cast<int>(::getpid()), attempt);
-
-    std::vector<std::uint8_t> mask = shard.mask(params.numLocations);
-    params.checkpointPath = shard.journalPath;
-    params.taskMask = &mask;
-    params.journal = withWorkerHooks(std::move(params.journal), status,
-                                     chaos);
-    sweepCampaign(spec, pattern, cfg, params, seed);
-
-    status.finish(shard.taskCount);
-    return 0;
-}
-
-int
-runFuzzShardWorker(const SystemSpec &spec, const HammerConfig &cfg,
-                   FuzzParams params, std::uint64_t seed,
-                   const ShardSpec &shard, unsigned attempt,
-                   const WorkerChaos &chaos)
-{
-    StatusFile status(shard.statusPath);
-    status.start(shard.id, static_cast<int>(::getpid()), attempt);
-
-    std::vector<std::uint8_t> mask = shard.mask(params.numPatterns);
-    params.checkpointPath = shard.journalPath;
-    params.taskMask = &mask;
-    params.journal = withWorkerHooks(std::move(params.journal), status,
-                                     chaos);
-    fuzzCampaign(spec, cfg, params, seed);
-
-    status.finish(shard.taskCount);
-    return 0;
-}
-
 SweepServiceOutcome
 serviceSweepCampaign(const SystemSpec &spec, const HammerPattern &pattern,
                      const HammerConfig &cfg, const SweepParams &params,
                      std::uint64_t seed, const ServiceParams &service)
 {
-    SweepParams base = params;
-    base.checkpointPath.clear();
-    base.journal = JournalOptions{};
-    base.taskMask = nullptr;
-
-    std::uint64_t key = sweepJournalKey(spec, cfg, base, pattern, seed);
-
-    WorkerBody body = [&](const ShardSpec &shard, unsigned attempt,
-                          const WorkerChaos &chaos) {
-        SweepParams wp = base;
-        wp.jobs = std::max(1u, service.jobsPerWorker);
-        wp.journal = workerJournalOptions(service);
-        return runSweepShardWorker(spec, pattern, cfg, std::move(wp), seed,
-                                   shard, attempt, chaos);
-    };
-
-    SweepServiceOutcome out;
-    std::vector<std::uint8_t> mask;
-    bool use_mask = false;
-    out.report = superviseAndMerge(base.numLocations, service, key,
-                                   SweepJournalKind, body, mask, use_mask);
-
-    // The merge run: replay everything the workers proved, re-execute
-    // whatever was lost, skip quarantined tasks.
-    SweepParams fin = base;
-    fin.checkpointPath = out.report.mergedJournalPath;
-    fin.journal.fsync = service.fsync;
-    fin.taskMask = use_mask ? &mask : nullptr;
-    out.result = sweepCampaign(spec, pattern, cfg, fin, seed);
-    return out;
+    return serviceCampaign(
+        params, params.numLocations,
+        sweepJournalKey(spec, cfg, params, pattern, seed), SweepJournalKind,
+        service, [&](const SweepParams &p) {
+            return sweepCampaign(spec, pattern, cfg, p, seed);
+        });
 }
 
 FuzzServiceOutcome
@@ -251,34 +223,11 @@ serviceFuzzCampaign(const SystemSpec &spec, const HammerConfig &cfg,
                     const FuzzParams &params, std::uint64_t seed,
                     const ServiceParams &service)
 {
-    FuzzParams base = params;
-    base.checkpointPath.clear();
-    base.journal = JournalOptions{};
-    base.taskMask = nullptr;
-
-    std::uint64_t key = fuzzJournalKey(spec, cfg, base, seed);
-
-    WorkerBody body = [&](const ShardSpec &shard, unsigned attempt,
-                          const WorkerChaos &chaos) {
-        FuzzParams wp = base;
-        wp.jobs = std::max(1u, service.jobsPerWorker);
-        wp.journal = workerJournalOptions(service);
-        return runFuzzShardWorker(spec, cfg, std::move(wp), seed, shard,
-                                  attempt, chaos);
-    };
-
-    FuzzServiceOutcome out;
-    std::vector<std::uint8_t> mask;
-    bool use_mask = false;
-    out.report = superviseAndMerge(base.numPatterns, service, key,
-                                   FuzzJournalKind, body, mask, use_mask);
-
-    FuzzParams fin = base;
-    fin.checkpointPath = out.report.mergedJournalPath;
-    fin.journal.fsync = service.fsync;
-    fin.taskMask = use_mask ? &mask : nullptr;
-    out.result = fuzzCampaign(spec, cfg, fin, seed);
-    return out;
+    return serviceCampaign(
+        params, params.numPatterns, fuzzJournalKey(spec, cfg, params, seed),
+        FuzzJournalKind, service, [&](const FuzzParams &p) {
+            return fuzzCampaign(spec, cfg, p, seed);
+        });
 }
 
 } // namespace rho::service

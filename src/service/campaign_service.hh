@@ -1,19 +1,23 @@
 /**
  * @file
- * The campaign service: sweep/fuzz campaigns sharded across supervised
- * worker processes, with crash-safe journals and a bit-identical merge.
+ * The campaign service: a campaign of any kind sharded across
+ * supervised worker processes, with crash-safe journals and a
+ * bit-identical merge. Sweep and blind-fuzz campaigns are wired in
+ * (serviceSweepCampaign / serviceFuzzCampaign); both run the one
+ * generic path below, which only needs the kind's task count, journal
+ * key and kind, and a call that runs the engine on given params.
  *
- * Flow for one campaign (serviceSweepCampaign / serviceFuzzCampaign):
+ * Flow for one campaign:
  *
  *  1. The task keyspace [0, N) is split into contiguous shards
  *     (shard.hh). Each shard gets its own journal + status file under
  *     `ServiceParams::journalBase`.
  *  2. The Supervisor drives one worker process per shard (fork in body
  *     mode; the example binary also exposes an exec-mode `--worker`
- *     entry via runSweepShardWorker/runFuzzShardWorker). Workers run
- *     the ordinary campaign engine with a task mask restricted to
- *     their shard, journaling every completed task. Crashed / hung
- *     workers are retried with backoff and resume from their journal.
+ *     entry via runShardWorker). Workers run the ordinary campaign
+ *     engine with a task mask restricted to their shard, journaling
+ *     every completed task. Crashed / hung workers are retried with
+ *     backoff and resume from their journal.
  *  3. The parent absorbs all completed shards' verified journal
  *     records into one merged journal (all shard journals share the
  *     campaign's journal key), then runs the campaign in-process over
@@ -32,13 +36,17 @@
 #ifndef RHO_SERVICE_CAMPAIGN_SERVICE_HH
 #define RHO_SERVICE_CAMPAIGN_SERVICE_HH
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "fault/fault_injector.hh"
 #include "hammer/pattern_fuzzer.hh"
 #include "hammer/sweep.hh"
 #include "service/supervisor.hh"
+#include "service/worker_protocol.hh"
 
 namespace rho::service
 {
@@ -85,17 +93,16 @@ struct ServiceReport
     FailureCode code = FailureCode::None;
 };
 
-struct SweepServiceOutcome
+/** A campaign's merged result and the service's account of it. */
+template <typename Result>
+struct ServiceOutcome
 {
-    SweepResult result;
+    Result result;
     ServiceReport report;
 };
 
-struct FuzzServiceOutcome
-{
-    FuzzResult result;
-    ServiceReport report;
-};
+using SweepServiceOutcome = ServiceOutcome<SweepResult>;
+using FuzzServiceOutcome = ServiceOutcome<FuzzResult>;
 
 /**
  * Run `params` as a supervised multi-process campaign. The campaign
@@ -118,25 +125,43 @@ FuzzServiceOutcome serviceFuzzCampaign(const SystemSpec &spec,
                                        const ServiceParams &service);
 
 /**
- * The worker-side entry point for one sweep shard attempt: writes the
- * status trail, runs the masked campaign against the shard journal,
- * and executes any chaos plan. Returns the process exit code. Called
+ * Chain the worker-side hooks onto journal options: status heartbeat
+ * first, then the chaos plan (so the record that trips the chaos is
+ * already durable — crash-after-record semantics, the worst case for
+ * the resume path).
+ */
+JournalOptions withWorkerHooks(JournalOptions opts, StatusFile &status,
+                               const WorkerChaos &chaos);
+
+/**
+ * The worker-side entry point for one shard attempt of a campaign of
+ * `tasks` tasks: writes the status trail, points `params` at the shard
+ * journal with the shard's task mask, runs `campaign(params)` and
+ * executes any chaos plan. Returns the process exit code. Called
  * in-process by body-mode workers and by the example binary's
  * exec-mode `--worker` entry.
  *
  * `params.journal` should carry the fsync policy (and any bitRot
  * hook); the status heartbeat and chaos hooks are chained onto it.
  */
-int runSweepShardWorker(const SystemSpec &spec, const HammerPattern &pattern,
-                        const HammerConfig &cfg, SweepParams params,
-                        std::uint64_t seed, const ShardSpec &shard,
-                        unsigned attempt, const WorkerChaos &chaos);
+template <typename Params, typename Run>
+int
+runShardWorker(Params params, unsigned tasks, const ShardSpec &shard,
+               unsigned attempt, const WorkerChaos &chaos, Run &&campaign)
+{
+    StatusFile status(shard.statusPath);
+    status.start(shard.id, static_cast<int>(::getpid()), attempt);
 
-/** Fuzz-shard worker entry point (see runSweepShardWorker). */
-int runFuzzShardWorker(const SystemSpec &spec, const HammerConfig &cfg,
-                       FuzzParams params, std::uint64_t seed,
-                       const ShardSpec &shard, unsigned attempt,
-                       const WorkerChaos &chaos);
+    std::vector<std::uint8_t> mask = shard.mask(tasks);
+    params.checkpointPath = shard.journalPath;
+    params.taskMask = &mask;
+    params.journal = withWorkerHooks(std::move(params.journal), status,
+                                     chaos);
+    campaign(params);
+
+    status.finish(shard.taskCount);
+    return 0;
+}
 
 /**
  * Deterministic chaos plan for one (shard, attempt) drawn from the

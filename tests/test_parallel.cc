@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "common/parallel.hh"
+#include "hammer/evo_fuzzer.hh"
 #include "hammer/pattern_fuzzer.hh"
 #include "hammer/sweep.hh"
 #include "hammer/tuned_configs.hh"
@@ -269,4 +270,65 @@ TEST(Determinism, CampaignStatsReflectScheduling)
     EXPECT_GT(stats.wallNs, 0.0);
     EXPECT_GT(stats.simNs, 0.0);
     EXPECT_EQ(stats.taskWallMs.count(), 6u);
+
+    // The evolutionary search runs one fan-out per generation; its
+    // stats sum them, per-task host times included.
+    EvoParams evo;
+    evo.populationSize = 4;
+    evo.generations = 2;
+    evo.elites = 1;
+    evo.locationsPerPattern = 1;
+    evo.jobs = 2;
+    ParallelStats evo_stats;
+    evolvedFuzzCampaign(spec, cfg, evo, 5, &evo_stats);
+    EXPECT_EQ(evo_stats.jobs, 2u);
+    EXPECT_EQ(evo_stats.tasksRun, 8u);
+    EXPECT_EQ(evo_stats.taskWallMs.count(), 8u);
+    EXPECT_GT(evo_stats.wallNs, 0.0);
+    EXPECT_GT(evo_stats.simNs, 0.0);
+}
+
+TEST(Determinism, MaskedSweepCountsOnlyItsOwnTasks)
+{
+    // Regression: tasks the shard mask gave to another shard used to
+    // be counted in tasksRun and taskWallMs.
+    SystemSpec spec = campaignSpec();
+    HammerConfig cfg = rhoConfig(Arch::CometLake, true, 30000);
+    Rng pattern_rng(45);
+    HammerPattern pattern = HammerPattern::randomNonUniform(pattern_rng);
+    std::vector<std::uint8_t> mask{0, 0, 1, 0};
+    SweepParams params;
+    params.numLocations = 4;
+    params.jobs = 1;
+    params.taskMask = &mask;
+
+    ParallelStats stats;
+    SweepResult res = sweepCampaign(spec, pattern, cfg, params, 45, &stats);
+    EXPECT_EQ(stats.tasksRun, 1u);
+    EXPECT_EQ(stats.taskWallMs.count(), 1u);
+    EXPECT_EQ(res.flipsPerLocation.size(), 1u);
+
+    // The one executed task is the unmasked campaign's task 2.
+    params.taskMask = nullptr;
+    SweepResult full = sweepCampaign(spec, pattern, cfg, params, 45);
+    EXPECT_EQ(res.flipsPerLocation[0], full.flipsPerLocation[2]);
+}
+
+TEST(Determinism, MaskedFuzzCountsOnlyItsOwnTasks)
+{
+    SystemSpec spec = campaignSpec();
+    HammerConfig cfg = rhoConfig(Arch::CometLake, true, 30000);
+    std::vector<std::uint8_t> mask{1, 0, 0, 1, 0};
+    FuzzParams params;
+    params.numPatterns = 5;
+    params.locationsPerPattern = 1;
+    params.jobs = 2;
+    params.taskMask = &mask;
+
+    ParallelStats stats;
+    MetricsRegistry metrics;
+    fuzzCampaign(spec, cfg, params, 46, &stats, &metrics);
+    EXPECT_EQ(stats.tasksRun, 2u);
+    EXPECT_EQ(stats.taskWallMs.count(), 2u);
+    EXPECT_EQ(metrics.value("campaign.patterns"), 2u);
 }
