@@ -5,6 +5,9 @@
  * bit-rot with a bit-identical merged result.
  *
  * Usage: campaign_service [arch] [dimm] [options]
+ *   arch             comet | rocket | alder | raptor | zen3 | cortexa72
+ *                                                          (default raptor)
+ *   dimm             S1..S5, H1, M1                         (default S4)
  *   --locations N    sweep locations = campaign tasks     (default 12)
  *   --shards N       worker shards                        (default 4)
  *   --workers N      concurrent worker processes          (default 2)
@@ -43,32 +46,6 @@ using namespace rho::service;
 
 namespace
 {
-
-Arch
-parseArch(const char *s)
-{
-    if (!std::strcmp(s, "comet"))
-        return Arch::CometLake;
-    if (!std::strcmp(s, "rocket"))
-        return Arch::RocketLake;
-    if (!std::strcmp(s, "alder"))
-        return Arch::AlderLake;
-    if (!std::strcmp(s, "raptor"))
-        return Arch::RaptorLake;
-    fatal("unknown arch '%s'", s);
-}
-
-const char *
-archArg(Arch a)
-{
-    switch (a) {
-    case Arch::CometLake: return "comet";
-    case Arch::RocketLake: return "rocket";
-    case Arch::AlderLake: return "alder";
-    case Arch::RaptorLake: return "raptor";
-    }
-    return "raptor";
-}
 
 /** The campaign is a pure function of (arch, dimm, seed): both the
  *  parent and exec-mode workers rebuild it from these three values. */

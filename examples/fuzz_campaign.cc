@@ -6,7 +6,8 @@
  * deterministic parallel campaign engine.
  *
  * Usage: fuzz_campaign [arch] [dimm] [--jobs N]
- *   arch:   comet | rocket | alder | raptor   (default raptor)
+ *   arch:   comet | rocket | alder | raptor | zen3 | cortexa72
+ *           (default raptor)
  *   dimm:   S1..S5, H1, M1                    (default S3)
  *   --jobs: worker threads (default: hardware_concurrency); results
  *           are bit-identical for any value.
@@ -23,25 +24,6 @@
 #include "hammer/tuned_configs.hh"
 
 using namespace rho;
-
-namespace
-{
-
-Arch
-parseArch(const char *s)
-{
-    if (!std::strcmp(s, "comet"))
-        return Arch::CometLake;
-    if (!std::strcmp(s, "rocket"))
-        return Arch::RocketLake;
-    if (!std::strcmp(s, "alder"))
-        return Arch::AlderLake;
-    if (!std::strcmp(s, "raptor"))
-        return Arch::RaptorLake;
-    fatal("unknown arch '%s'", s);
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)

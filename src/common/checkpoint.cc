@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
@@ -186,11 +185,8 @@ TaskJournal::TaskJournal(const std::string &path, std::uint64_t key,
 
 TaskJournal::~TaskJournal()
 {
-    if (fd >= 0) {
-        if (opts.fsync == FsyncPolicy::Interval && recordsSinceSync > 0)
-            ::fsync(fd);
+    if (fd >= 0)
         ::close(fd);
-    }
 }
 
 void
@@ -237,19 +233,8 @@ TaskJournal::openAppendFd()
 void
 TaskJournal::maybeFsync()
 {
-    switch (opts.fsync) {
-    case FsyncPolicy::Never:
-        break;
-    case FsyncPolicy::PerRecord:
+    if (opts.fsync == FsyncPolicy::PerRecord)
         ::fsync(fd);
-        break;
-    case FsyncPolicy::Interval:
-        if (++recordsSinceSync >= std::max(opts.fsyncInterval, 1u)) {
-            ::fsync(fd);
-            recordsSinceSync = 0;
-        }
-        break;
-    }
 }
 
 void
@@ -301,10 +286,8 @@ void
 TaskJournal::sync()
 {
     std::lock_guard<std::mutex> lock(mtx);
-    if (fd >= 0) {
+    if (fd >= 0)
         ::fsync(fd);
-        recordsSinceSync = 0;
-    }
 }
 
 std::optional<std::string>

@@ -74,14 +74,12 @@ enum class FsyncPolicy : std::uint8_t
                //!< not a host power cut)
     PerRecord, //!< fsync after every record (default; a reaped record
                //!< is durable)
-    Interval,  //!< fsync every JournalOptions::fsyncInterval records
 };
 
 /** Optional knobs and hooks for a TaskJournal. */
 struct JournalOptions
 {
     FsyncPolicy fsync = FsyncPolicy::PerRecord;
-    unsigned fsyncInterval = 32; //!< used by FsyncPolicy::Interval
 
     /**
      * Fault hook (chaos/testing): called once per appended record with
@@ -190,7 +188,6 @@ class TaskJournal
     JournalOptions opts;
     JournalRecovery recov;
     std::uint64_t nextSeq = 1;
-    unsigned recordsSinceSync = 0;
     int fd = -1;
     std::mutex mtx;
 };

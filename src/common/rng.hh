@@ -6,14 +6,42 @@
  * seeded Rng so that all experiments are exactly reproducible. The
  * splitMix64 hash is also exposed for "stateless" randomness, e.g. the
  * per-row weak-cell profiles that must be recomputable from (seed, row).
+ *
+ * Rng's stream is mt19937_64(seed)'s, and its helpers return what
+ * the matching std distributions return over that engine. The CPU's
+ * flush-jitter coin and obfuscated-branch draws, the TRR sampler's
+ * coins and the per-row weak-cell field all feed observable behaviour,
+ * so the values are fixed; only the cost of drawing them is Rng's own.
+ * The engine and the two hot helpers are written out against the
+ * installed libstdc++:
+ *
+ *  - raw(): block twist + tempering, word-for-word the standard
+ *    algorithm (the output sequence is fixed by the C++ standard, not
+ *    an implementation detail);
+ *  - the seeding constructor: mt19937_64(seed)'s state, but the
+ *    first block is seeded and twisted lazily, word by word in the
+ *    standard's order. Twisted word k reads seed words k+1 and k+156
+ *    (k < 156), or seed word k+1 and twisted word k-156, so an engine
+ *    that makes n draws computes about 156+n words instead of 624;
+ *  - chance(): std::bernoulli_distribution, i.e. canonical < p, where
+ *    generate_canonical<double, 53> over a 64-bit engine is one draw,
+ *    double(x) / 2^64. p <= 0 and p >= 1 consume no draw;
+ *  - uniformInt(): std::uniform_int_distribution<uint64_t>, Lemire's
+ *    nearly divisionless downscaling over __uint128_t, exactly the
+ *    libstdc++ _S_nd path taken whenever the engine range is 2^64.
+ *
+ * Rng is a standard UniformRandomBitGenerator with mt19937_64's
+ * result_type, min() and max(); the remaining helpers are std
+ * distributions run over it. tests/test_cpu_oracle.cc pins all of it
+ * against libstdc++'s mt19937_64 and std distributions draw by draw.
  */
 
 #ifndef RHO_COMMON_RNG_HH
 #define RHO_COMMON_RNG_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <random>
-#include <string>
 #include <vector>
 
 namespace rho
@@ -38,25 +66,82 @@ hashCombine(std::uint64_t a, std::uint64_t b)
 
 /**
  * Seeded pseudo-random source with the distribution helpers the
- * simulator needs. Thin wrapper around std::mt19937_64.
+ * simulator needs: the mt19937_64 stream, drawn cheaply.
  */
 class Rng
 {
   public:
-    explicit Rng(std::uint64_t seed) : engine(seed) {}
+    using result_type = std::uint64_t;
+
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type(0); }
+
+    /**
+     * The mt19937_64(seed) stream. Only state[0] is seeded here;
+     * the rest of the first block is seeded and twisted on demand.
+     */
+    explicit Rng(std::uint64_t seed) : idx(0), avail(0), seeded(1)
+    {
+        state[0] = seed;
+    }
+
+    /** Raw 64-bit draw; the mt19937_64 sequence. */
+    std::uint64_t
+    raw()
+    {
+        if (idx >= avail)
+            refill();
+        return temper(state[idx++]);
+    }
+
+    /** The UniformRandomBitGenerator call: raw(). */
+    result_type operator()() { return raw(); }
+
+    /**
+     * The next raw draw, without consuming it. Pair with consumeIf():
+     * a caller whose draw is gated on a random condition (the
+     * obfuscated branch draws a target only when taken) can compute
+     * the would-be value unconditionally and advance the stream by 0
+     * or 1 — no host branch on random data. consumeIf(true) after a
+     * peek() is exactly raw(); consumeIf(false) leaves the stream
+     * untouched.
+     */
+    std::uint64_t
+    peek()
+    {
+        if (idx >= avail)
+            refill();
+        return temper(state[idx]);
+    }
+
+    void consumeIf(bool take) { idx += take; }
 
     /** Uniform integer in [lo, hi] (inclusive). */
     std::uint64_t
     uniformInt(std::uint64_t lo, std::uint64_t hi)
     {
-        return std::uniform_int_distribution<std::uint64_t>(lo, hi)(engine);
+        std::uint64_t urange = hi - lo;
+        if (urange == ~0ULL)
+            return raw(); // whole engine range: raw draw
+        std::uint64_t uerange = urange + 1;
+        unsigned __int128 product =
+            static_cast<unsigned __int128>(raw()) * uerange;
+        std::uint64_t low = static_cast<std::uint64_t>(product);
+        if (low < uerange) {
+            std::uint64_t threshold = (0 - uerange) % uerange;
+            while (low < threshold) {
+                product = static_cast<unsigned __int128>(raw()) * uerange;
+                low = static_cast<std::uint64_t>(product);
+            }
+        }
+        return lo + static_cast<std::uint64_t>(product >> 64);
     }
 
     /** Uniform real in [lo, hi). */
     double
     uniformReal(double lo, double hi)
     {
-        return std::uniform_real_distribution<double>(lo, hi)(engine);
+        return std::uniform_real_distribution<double>(lo, hi)(*this);
     }
 
     /** Bernoulli trial with success probability p. */
@@ -67,21 +152,24 @@ class Rng
             return false;
         if (p >= 1.0)
             return true;
-        return std::bernoulli_distribution(p)(engine);
+        // The standard clamps a canonical that rounds up to 1.0 to
+        // nextafter(1, 0). Neither value is below any double p < 1,
+        // so the clamp cannot change the result and is left out.
+        return toDouble(raw()) * 0x1p-64 < p;
     }
 
     /** Normal distribution sample. */
     double
     normal(double mean, double stddev)
     {
-        return std::normal_distribution<double>(mean, stddev)(engine);
+        return std::normal_distribution<double>(mean, stddev)(*this);
     }
 
     /** Log-normal distribution sample (of the underlying normal). */
     double
     logNormal(double logMean, double logSigma)
     {
-        return std::lognormal_distribution<double>(logMean, logSigma)(engine);
+        return std::lognormal_distribution<double>(logMean, logSigma)(*this);
     }
 
     /** Poisson distribution sample. */
@@ -90,7 +178,7 @@ class Rng
     {
         if (mean <= 0.0)
             return 0;
-        return std::poisson_distribution<std::uint64_t>(mean)(engine);
+        return std::poisson_distribution<std::uint64_t>(mean)(*this);
     }
 
     /** Pick a uniformly random element of a non-empty vector. */
@@ -113,26 +201,56 @@ class Rng
     }
 
     /** Derive an independent child generator (for sub-components). */
-    Rng
-    fork()
-    {
-        return Rng(engine());
-    }
-
-    /** Raw 64-bit draw. */
-    std::uint64_t raw() { return engine(); }
-
-    /**
-     * Engine state in the standard mersenne_twister_engine text
-     * serialization (312 state words + read position). Lets an exact
-     * engine replica (common/replay_rng.hh) take over the stream and hand
-     * it back without disturbing it.
-     */
-    std::string saveEngineState() const;
-    void loadEngineState(const std::string &text);
+    Rng fork() { return Rng(raw()); }
 
   private:
-    std::mt19937_64 engine;
+    static std::uint64_t
+    temper(std::uint64_t z)
+    {
+        z ^= (z >> 29) & 0x5555555555555555ULL;
+        z ^= (z << 17) & 0x71d67fffeda60000ULL;
+        z ^= (z << 37) & 0xfff7eee000000000ULL;
+        z ^= z >> 43;
+        return z;
+    }
+
+    /**
+     * Round-to-nearest uint64 -> double without the compiler's
+     * sign-test branch. x86-64 has no unsigned conversion before
+     * AVX-512, so `double(x)` compiles to a branch on bit 63 — which
+     * is random engine output here and mispredicts half the time,
+     * costing more than the rest of the draw combined. Splitting into
+     * two exactly-representable halves (hi * 2^32 is exact, lo is
+     * exact) sums to mathematical x and rounds exactly once, so the
+     * result is bit-identical to the direct conversion.
+     */
+    static double
+    toDouble(std::uint64_t x)
+    {
+        double hi = static_cast<double>(
+            static_cast<std::int64_t>(x >> 32));
+        double lo = static_cast<double>(
+            static_cast<std::int64_t>(x & 0xffffffffULL));
+        return hi * 0x1p32 + lo;
+    }
+
+    /** Slow path of raw()/peek(): extend the lazy block or twist. */
+    void refill();
+    /** Seed and twist the lazy first block up to word `end`. */
+    void extendFirstBlock(std::size_t end);
+    /** Twist the whole block and restart reading it. */
+    void twist();
+
+    static constexpr std::size_t kN = 312;
+
+    // Words [0, avail) of the current block are twisted and readable;
+    // idx is the next one to read. While the first block is still
+    // lazy, avail < kN, slots [avail, seeded) hold seed words and the
+    // slots past them are not yet seeded.
+    std::uint64_t state[kN] = {};
+    std::size_t idx;
+    std::size_t avail;
+    std::size_t seeded;
 };
 
 } // namespace rho

@@ -53,7 +53,6 @@
 #include <deque>
 #include <vector>
 
-#include "common/replay_rng.hh"
 #include "common/rng.hh"
 #include "cpu/arch_params.hh"
 #include "cpu/block_plan.hh"
@@ -219,7 +218,6 @@ class SimCpu
     const ArchParams &arch;
     CpuModelKind kind;
     Rng rng;
-    ReplayRng rrng; //!< Blocked engine's view of rng (synced per run)
     BranchPredictor bp;
     BlockPlan plan; //!< Blocked engine's compiled body (reused storage)
 

@@ -15,7 +15,7 @@ void
 TrrSampler::reset()
 {
     std::fill(fill.begin(), fill.end(), 0);
-    rng = ReplayRng(cfg.seed);
+    rng = Rng(cfg.seed);
     issued = 0;
 }
 

@@ -23,7 +23,7 @@
 #include <optional>
 #include <vector>
 
-#include "common/replay_rng.hh"
+#include "common/rng.hh"
 #include "common/types.hh"
 #include "trace/tracer.hh"
 
@@ -116,7 +116,7 @@ class TrrSampler
     // counters + fill[b]) in insertion order.
     std::vector<Entry> entries;
     std::vector<std::uint32_t> fill;
-    ReplayRng rng;
+    Rng rng;
     std::uint64_t issued = 0;
     Tracer *tracer = nullptr;
 };

@@ -22,6 +22,30 @@ archName(Arch arch)
     panic("archName: bad arch");
 }
 
+const char *
+archArg(Arch arch)
+{
+    switch (arch) {
+      case Arch::CometLake: return "comet";
+      case Arch::RocketLake: return "rocket";
+      case Arch::AlderLake: return "alder";
+      case Arch::RaptorLake: return "raptor";
+      case Arch::Zen3: return "zen3";
+      case Arch::CortexA72: return "cortexa72";
+    }
+    panic("archArg: bad arch");
+}
+
+Arch
+parseArch(const std::string &token)
+{
+    for (Arch arch : allArchs) {
+        if (token == archArg(arch))
+            return arch;
+    }
+    fatal("unknown arch '%s'", token.c_str());
+}
+
 std::string
 archCpu(Arch arch)
 {

@@ -60,6 +60,12 @@ static_assert(static_cast<std::size_t>(allArchs.back()) + 1 == archCount,
 /** Short display name, e.g. "Comet Lake". */
 std::string archName(Arch arch);
 
+/** Command-line token, e.g. "comet"; parseArch() is its inverse. */
+const char *archArg(Arch arch);
+
+/** The Arch whose archArg() is `token`; fatal() on any other. */
+Arch parseArch(const std::string &token);
+
 /** CPU model string from Table 1, e.g. "i7-10700K". */
 std::string archCpu(Arch arch);
 

@@ -1,10 +1,11 @@
 /**
  * @file
  * MetricsRegistry: named hierarchical counters unifying the scattered
- * per-subsystem statistics (PerfCounters, FaultStats, RetryStats,
- * ParallelStats, Dimm totals) under dotted names — "dram.acts",
- * "cpu.cache_hits", "retry.template.attempts" — so benches, examples
- * and campaign drivers can dump or merge one object instead of five.
+ * per-subsystem statistics (PerfCounters, ParallelStats, Dimm totals
+ * through trace/metrics_adapters.hh, plus any caller's own counters)
+ * under dotted names — "dram.acts", "cpu.cache_hits",
+ * "parallel.tasks_run" — so benches, examples and campaign drivers can
+ * dump or merge one object instead of several.
  *
  * Counters are integer-valued and stored in a sorted map, so
  * iteration (and therefore dump()) order is deterministic. Real-valued

@@ -5,8 +5,7 @@
  * metrics.hh so rho_trace itself depends only on rho_common; any
  * target that links the subsystem in question can include this.
  *
- * Naming scheme: "<subsystem>.<counter>", snake_case, with retry
- * channels nested one level deeper ("retry.<phase>.<counter>").
+ * Naming scheme: "<subsystem>.<counter>", snake_case.
  */
 
 #ifndef RHO_TRACE_METRICS_ADAPTERS_HH
@@ -17,7 +16,6 @@
 #include "common/stats.hh"
 #include "cpu/perf_counters.hh"
 #include "dram/dimm.hh"
-#include "fault/fault_injector.hh"
 #include "trace/metrics.hh"
 
 namespace rho
@@ -52,29 +50,6 @@ addMetrics(MetricsRegistry &m, const Dimm &dimm)
     m.add("dram.refreshes.trr", dimm.trrRefreshCount());
     m.add("dram.refreshes.rfm", dimm.rfmCommandCount());
     m.add("dram.flips", dimm.flipLog().size());
-}
-
-/** Delivered-fault counters → "fault.*". */
-inline void
-addMetrics(MetricsRegistry &m, const FaultStats &fs)
-{
-    m.add("fault.timing_perturbations", fs.timingPerturbations);
-    m.add("fault.flips_suppressed", fs.flipsSuppressed);
-    m.add("fault.spurious_refreshes", fs.spuriousRefreshes);
-    m.add("fault.alloc_failures", fs.allocFailures);
-    m.add("fault.fragment_spikes", fs.fragmentSpikes);
-}
-
-/** Retry accounting for one phase → "retry.<phase>.*". */
-inline void
-addMetrics(MetricsRegistry &m, const std::string &phase,
-           const RetryStats &rs)
-{
-    const std::string p = "retry." + phase + ".";
-    m.add(p + "attempts", rs.attempts);
-    m.add(p + "retries", rs.retries);
-    m.add(p + "backoffs", rs.backoffs);
-    m.add(p + "backoff_ns", metricNs(rs.backoffNs));
 }
 
 /** Campaign scheduling counters → "parallel.*". */

@@ -117,6 +117,21 @@ TEST(ArchRegistry, EnumeratesEveryArchExactlyOnce)
     EXPECT_FALSE(archRefBlocking(Arch::RaptorLake));
 }
 
+TEST(ArchRegistry, ArgTokensRoundTrip)
+{
+    // The command-line token pair covers every registry entry, and an
+    // unknown token is fatal rather than a silent default.
+    std::set<std::string> tokens;
+    for (Arch a : allArchs) {
+        EXPECT_EQ(parseArch(archArg(a)), a) << archArg(a);
+        tokens.insert(archArg(a));
+    }
+    EXPECT_EQ(tokens.size(), archCount) << "duplicate arch token";
+    EXPECT_EQ(parseArch("zen3"), Arch::Zen3);
+    EXPECT_EQ(parseArch("cortexa72"), Arch::CortexA72);
+    EXPECT_DEATH(parseArch("skylake"), "unknown arch 'skylake'");
+}
+
 TEST(ArchRegistry, FamilyKindsMatchVendor)
 {
     struct Geo

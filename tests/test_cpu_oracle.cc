@@ -7,21 +7,22 @@
  * stream, same golden trace, same flips, same randomness consumption —
  * across architectures, kernel shapes, seeds and campaign job counts.
  *
- * Also pins the ReplayRng replica (common/replay_rng.hh) directly against
- * the std library objects it replaces: raw engine stream, bernoulli and
- * uniform-int draws, and the state handoff both ways.
+ * Also pins Rng (common/rng.hh), whose engine and chance/uniformInt
+ * replay libstdc++'s std::mt19937_64 and distributions, draw by draw
+ * against a test-local std::mt19937_64 and the std distributions: raw
+ * stream, lazy seeding across the block edges, peek/consumeIf, every
+ * uniform-int range class, and the std distributions run over Rng.
  */
 
 #include <bit>
 #include <cmath>
 #include <random>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/replay_rng.hh"
+#include "common/rng.hh"
 #include "cpu/arch_params.hh"
 #include "cpu/kernel.hh"
 #include "cpu/sim_cpu.hh"
@@ -33,129 +34,36 @@
 
 using namespace rho;
 
+// ---------------------------------------------------------------------
+// Rng vs the std library (suite name: Rng replays std::mt19937_64)
+// ---------------------------------------------------------------------
+
 namespace
 {
 
-// ---------------------------------------------------------------------
-// ReplayRng vs the std library
-// ---------------------------------------------------------------------
-
-/** std::mt19937_64 positioned at the same state as `r`. */
-std::mt19937_64
-stdEngineAt(const Rng &r)
+/** The std form of Rng::chance, with its draw-free edges. */
+bool
+stdChance(std::mt19937_64 &eng, double p)
 {
-    std::mt19937_64 eng;
-    std::istringstream in(r.saveEngineState());
-    in >> eng;
-    EXPECT_TRUE(static_cast<bool>(in));
-    return eng;
+    if (p <= 0.0)
+        return false;
+    if (p >= 1.0)
+        return true;
+    return std::bernoulli_distribution(p)(eng);
 }
 
-} // namespace
-
-TEST(ReplayRng, RawStreamMatchesStdEngine)
+/** The std form of Rng::uniformInt. */
+std::uint64_t
+stdUniformInt(std::mt19937_64 &eng, std::uint64_t lo, std::uint64_t hi)
 {
-    for (std::uint64_t seed : {1ULL, 42ULL, 0xdeadbeefULL, ~0ULL}) {
-        Rng src(seed);
-        // Start mid-block too: a partially consumed engine state must
-        // import at the right read position.
-        for (int skip = 0; skip < 3; ++skip)
-            src.raw();
-        ReplayRng rr;
-        rr.importFrom(src);
-        std::mt19937_64 eng = stdEngineAt(src);
-        // > 2 full twist blocks (312 words each).
-        for (int i = 0; i < 1000; ++i)
-            ASSERT_EQ(rr.next(), eng()) << "seed " << seed << " draw " << i;
-    }
+    return std::uniform_int_distribution<std::uint64_t>(lo, hi)(eng);
 }
 
-TEST(ReplayRng, ChanceMatchesRngAndStaysInSync)
+std::uint64_t
+bits(double d)
 {
-    const double probs[] = {-0.5, 0.0, 1e-18, 0.02, 0.1, 0.25, 0.5,
-                            0.6,  0.7, 0.999, 1.0,  1.5};
-    Rng ref(77);
-    Rng shadow(77);
-    ReplayRng rr;
-    rr.importFrom(shadow);
-    for (int round = 0; round < 400; ++round) {
-        for (double p : probs) {
-            ASSERT_EQ(rr.chance(p), ref.chance(p))
-                << "p " << p << " round " << round;
-        }
-    }
-    // The replica consumed exactly the same number of engine words.
-    rr.exportTo(shadow);
-    EXPECT_EQ(shadow.saveEngineState(), ref.saveEngineState());
+    return std::bit_cast<std::uint64_t>(d);
 }
-
-TEST(ReplayRng, UniformIntMatchesRngAndStaysInSync)
-{
-    struct Range
-    {
-        std::uint64_t lo, hi;
-    };
-    // Power-of-two span (no rejection), degenerate, offset, a span
-    // with a nonzero Lemire threshold (rejection possible), and the
-    // full 2^64 span (raw-draw path).
-    const Range ranges[] = {{0, 7},
-                            {3, 3},
-                            {1, 8},
-                            {0, 0xfffffffffffffffdULL},
-                            {5, ~0ULL - 1},
-                            {0, ~0ULL}};
-    Rng ref(123);
-    Rng shadow(123);
-    ReplayRng rr;
-    rr.importFrom(shadow);
-    for (int round = 0; round < 500; ++round) {
-        for (const Range &r : ranges) {
-            ASSERT_EQ(rr.uniformInt(r.lo, r.hi),
-                      ref.uniformInt(r.lo, r.hi))
-                << "[" << r.lo << ", " << r.hi << "] round " << round;
-        }
-    }
-    rr.exportTo(shadow);
-    EXPECT_EQ(shadow.saveEngineState(), ref.saveEngineState());
-}
-
-TEST(ReplayRng, PeekConsumeIfAdvancesByZeroOrOne)
-{
-    Rng ref(9);
-    Rng shadow(9);
-    ReplayRng rr;
-    rr.importFrom(shadow);
-    for (int i = 0; i < 700; ++i) {
-        std::uint64_t expect = ref.raw();
-        ASSERT_EQ(rr.peek(), expect);
-        ASSERT_EQ(rr.peek(), expect); // peek does not advance
-        if (i % 3 == 0) {
-            rr.consumeIf(false); // still not advanced
-            ASSERT_EQ(rr.peek(), expect);
-        }
-        rr.consumeIf(true);
-    }
-    rr.exportTo(shadow);
-    EXPECT_EQ(shadow.saveEngineState(), ref.saveEngineState());
-}
-
-TEST(ReplayRng, StateRoundTripsBothWays)
-{
-    Rng a(31337);
-    for (int i = 0; i < 500; ++i)
-        a.raw(); // land mid-block
-    std::string before = a.saveEngineState();
-    ReplayRng rr;
-    rr.importFrom(a);
-    Rng b(1);
-    rr.exportTo(b);
-    EXPECT_EQ(b.saveEngineState(), before);
-    // And the streams agree after the round trip.
-    EXPECT_EQ(a.raw(), b.raw());
-}
-
-namespace
-{
 
 const std::uint64_t kSeeds[] = {0ULL, 1ULL, 0x7272ULL, ~0ULL};
 
@@ -165,35 +73,116 @@ const int kPrefixes[] = {0, 1, 155, 156, 157, 311, 312, 313, 700};
 
 } // namespace
 
+TEST(ReplayRng, RawStreamMatchesStdEngine)
+{
+    for (std::uint64_t seed : {1ULL, 42ULL, 0xdeadbeefULL, ~0ULL}) {
+        Rng src(seed);
+        std::mt19937_64 eng(seed);
+        // A copy taken mid-block must continue at the right read
+        // position.
+        for (int skip = 0; skip < 3; ++skip)
+            ASSERT_EQ(src.raw(), eng());
+        Rng copy = src;
+        // > 2 full twist blocks (312 words each).
+        for (int i = 0; i < 1000; ++i) {
+            std::uint64_t expect = eng();
+            ASSERT_EQ(copy.raw(), expect) << "seed " << seed << " draw " << i;
+            ASSERT_EQ(src(), expect) << "seed " << seed << " draw " << i;
+        }
+    }
+}
+
+TEST(ReplayRng, ChanceMatchesRngAndStaysInSync)
+{
+    const double probs[] = {-0.5, 0.0,   1e-18, 0.02, 0.1, 0.25,
+                            0.5,  0.6,   0.7,   0.99, 0.999,
+                            std::nextafter(1.0, 0.0), 1.0, 1.5};
+    Rng rng(77);
+    std::mt19937_64 eng(77);
+    for (int round = 0; round < 400; ++round) {
+        for (double p : probs) {
+            ASSERT_EQ(rng.chance(p), stdChance(eng, p))
+                << "p " << p << " round " << round;
+        }
+    }
+    // Rng consumed exactly the same number of engine words.
+    EXPECT_EQ(rng.raw(), eng());
+}
+
+TEST(ReplayRng, UniformIntMatchesRngAndStaysInSync)
+{
+    struct Range
+    {
+        std::uint64_t lo, hi;
+    };
+    // Power-of-two span (no rejection), degenerate, offset, spans with
+    // a small nonzero Lemire threshold, spans whose threshold rejects
+    // about half and a third of the draws, and the full 2^64 span
+    // (raw-draw path).
+    const Range ranges[] = {{0, 7},
+                            {3, 3},
+                            {1, 8},
+                            {0, 65535},
+                            {0, 0xfffffffffffffffdULL},
+                            {5, ~0ULL - 1},
+                            {0, 1ULL << 63},
+                            {7, 0xaaaaaaaaaaaaaaaaULL},
+                            {0, ~0ULL}};
+    Rng rng(123);
+    std::mt19937_64 eng(123);
+    for (int round = 0; round < 500; ++round) {
+        for (const Range &r : ranges) {
+            ASSERT_EQ(rng.uniformInt(r.lo, r.hi),
+                      stdUniformInt(eng, r.lo, r.hi))
+                << "[" << r.lo << ", " << r.hi << "] round " << round;
+        }
+    }
+    EXPECT_EQ(rng.raw(), eng());
+}
+
+TEST(ReplayRng, PeekConsumeIfAdvancesByZeroOrOne)
+{
+    Rng rng(9);
+    std::mt19937_64 eng(9);
+    for (int i = 0; i < 700; ++i) {
+        std::uint64_t expect = eng();
+        ASSERT_EQ(rng.peek(), expect);
+        ASSERT_EQ(rng.peek(), expect); // peek does not advance
+        if (i % 3 == 0) {
+            rng.consumeIf(false); // still not advanced
+            ASSERT_EQ(rng.peek(), expect);
+        }
+        rng.consumeIf(true);
+    }
+    EXPECT_EQ(rng.raw(), eng());
+}
+
 TEST(ReplayRng, SeededStreamMatchesStdEngine)
 {
     for (std::uint64_t seed : kSeeds) {
-        ReplayRng rr(seed);
+        Rng rng(seed);
         std::mt19937_64 eng(seed);
         for (int i = 0; i < 1000; ++i)
-            ASSERT_EQ(rr(), eng()) << "seed " << seed << " draw " << i;
+            ASSERT_EQ(rng(), eng()) << "seed " << seed << " draw " << i;
     }
 }
 
 TEST(ReplayRng, SeededPrefixHandsOffExactly)
 {
-    // After any prefix, the lazily built state must export to an Rng
-    // that continues the std stream (the block is finished on a copy,
-    // so the ReplayRng itself continues it too).
+    // After any prefix, a copy of the lazily built state must continue
+    // the std stream, and so must the original.
     for (std::uint64_t seed : kSeeds) {
         for (int prefix : kPrefixes) {
-            ReplayRng rr(seed);
+            Rng rng(seed);
             std::mt19937_64 eng(seed);
             for (int i = 0; i < prefix; ++i)
-                ASSERT_EQ(rr.next(), eng());
-            Rng handed(0);
-            rr.exportTo(handed);
-            std::mt19937_64 ref = eng;
+                ASSERT_EQ(rng.raw(), eng());
+            Rng handed = rng;
             for (int i = 0; i < 400; ++i) {
-                std::uint64_t expect = ref();
+                std::uint64_t expect = eng();
                 ASSERT_EQ(handed.raw(), expect)
                     << "seed " << seed << " prefix " << prefix << " +" << i;
-                ASSERT_EQ(rr.next(), expect)
+                ASSERT_EQ(rng.raw(), expect)
                     << "seed " << seed << " prefix " << prefix << " +" << i;
             }
         }
@@ -203,88 +192,107 @@ TEST(ReplayRng, SeededPrefixHandsOffExactly)
 TEST(ReplayRng, SeededPeekConsumeIfInsideLazyBlock)
 {
     for (std::uint64_t seed : kSeeds) {
-        ReplayRng rr(seed);
+        Rng rng(seed);
         std::mt19937_64 eng(seed);
         for (int i = 0; i < 700; ++i) {
             std::uint64_t expect = eng();
-            ASSERT_EQ(rr.peek(), expect) << "seed " << seed << " draw " << i;
-            ASSERT_EQ(rr.peek(), expect);
+            ASSERT_EQ(rng.peek(), expect) << "seed " << seed << " draw " << i;
+            ASSERT_EQ(rng.peek(), expect);
             if (i % 3 == 0) {
-                rr.consumeIf(false);
-                ASSERT_EQ(rr.peek(), expect);
+                rng.consumeIf(false);
+                ASSERT_EQ(rng.peek(), expect);
             }
-            rr.consumeIf(true);
+            rng.consumeIf(true);
         }
     }
-    // A peek at a fresh engine must not disturb the handoff either.
-    ReplayRng rr(5);
+    // A peek at a fresh engine must not disturb the stream either.
+    Rng rng(5);
     std::mt19937_64 eng(5);
-    ASSERT_EQ(rr.peek(), std::mt19937_64(5)());
-    Rng handed(0);
-    rr.exportTo(handed);
+    ASSERT_EQ(rng.peek(), std::mt19937_64(5)());
     for (int i = 0; i < 400; ++i)
-        ASSERT_EQ(handed.raw(), eng());
+        ASSERT_EQ(rng.raw(), eng());
 }
 
 TEST(ReplayRng, StdDistributionsMatchOverBothEngines)
 {
-    // One fresh distribution object per call (the way Rng and
-    // DimmProfile::weakCellsFor use them), then the engines' positions.
+    // One fresh distribution object per call (the way Rng's helpers
+    // use them), run over Rng and over std::mt19937_64, then Rng's own
+    // helpers against the std objects, then the engines' positions.
     const double means[] = {0.3, 2.5, 11.0, 12.0, 40.0};
     for (std::uint64_t seed : kSeeds) {
         for (int prefix : kPrefixes) {
-            ReplayRng rr(seed);
+            Rng rng(seed);
             std::mt19937_64 eng(seed);
             for (int i = 0; i < prefix; ++i)
-                ASSERT_EQ(rr(), eng());
+                ASSERT_EQ(rng(), eng());
             for (int round = 0; round < 40; ++round) {
                 double mean = means[round % 5];
                 ASSERT_EQ(
-                    std::poisson_distribution<std::uint64_t>(mean)(rr),
+                    std::poisson_distribution<std::uint64_t>(mean)(rng),
                     std::poisson_distribution<std::uint64_t>(mean)(eng));
                 ASSERT_EQ(
                     std::uniform_int_distribution<std::uint64_t>(
-                        0, 65535)(rr),
+                        0, 65535)(rng),
                     std::uniform_int_distribution<std::uint64_t>(
                         0, 65535)(eng));
-                ASSERT_EQ(std::bernoulli_distribution(0.37)(rr),
+                ASSERT_EQ(std::bernoulli_distribution(0.37)(rng),
                           std::bernoulli_distribution(0.37)(eng));
-                double a = std::lognormal_distribution<double>(
-                    std::log(8000.0), 0.4)(rr);
-                double b = std::lognormal_distribution<double>(
-                    std::log(8000.0), 0.4)(eng);
-                ASSERT_EQ(std::bit_cast<std::uint64_t>(a),
-                          std::bit_cast<std::uint64_t>(b))
+                ASSERT_EQ(
+                    bits(std::lognormal_distribution<double>(
+                        std::log(8000.0), 0.4)(rng)),
+                    bits(std::lognormal_distribution<double>(
+                        std::log(8000.0), 0.4)(eng)));
+                ASSERT_EQ(
+                    bits(std::uniform_real_distribution<double>(
+                        -3.0, 5.0)(rng)),
+                    bits(std::uniform_real_distribution<double>(
+                        -3.0, 5.0)(eng)));
+                ASSERT_EQ(
+                    bits(std::normal_distribution<double>(60.0, 4.5)(rng)),
+                    bits(std::normal_distribution<double>(60.0, 4.5)(eng)))
+                    << "seed " << seed << " prefix " << prefix;
+
+                ASSERT_EQ(rng.poisson(mean),
+                          std::poisson_distribution<std::uint64_t>(mean)(
+                              eng));
+                ASSERT_EQ(bits(rng.logNormal(std::log(8000.0), 0.4)),
+                          bits(std::lognormal_distribution<double>(
+                              std::log(8000.0), 0.4)(eng)));
+                ASSERT_EQ(bits(rng.uniformReal(0.0, 1.0)),
+                          bits(std::uniform_real_distribution<double>(
+                              0.0, 1.0)(eng)));
+                ASSERT_EQ(bits(rng.normal(-2.0, 0.25)),
+                          bits(std::normal_distribution<double>(
+                              -2.0, 0.25)(eng)))
                     << "seed " << seed << " prefix " << prefix;
             }
-            ASSERT_EQ(rr(), eng()) << "seed " << seed << " prefix " << prefix;
+            ASSERT_EQ(rng(), eng()) << "seed " << seed << " prefix " << prefix;
         }
     }
     // A long-lived distribution keeps state between calls (the
     // normal's cached second value); it must see the same draws too.
-    ReplayRng rr(0x7272);
+    Rng rng(0x7272);
     std::mt19937_64 eng(0x7272);
-    std::lognormal_distribution<double> da(1.0, 0.5), db(1.0, 0.5);
+    std::lognormal_distribution<double> la(1.0, 0.5), lb(1.0, 0.5);
+    std::normal_distribution<double> na(0.0, 2.0), nb(0.0, 2.0);
     for (int i = 0; i < 1000; ++i) {
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(da(rr)),
-                  std::bit_cast<std::uint64_t>(db(eng)));
+        ASSERT_EQ(bits(la(rng)), bits(lb(eng)));
+        ASSERT_EQ(bits(na(rng)), bits(nb(eng)));
     }
-    ASSERT_EQ(rr(), eng());
+    ASSERT_EQ(rng(), eng());
 }
 
 TEST(ReplayRng, SeededChanceAndUniformIntMatchRng)
 {
     for (std::uint64_t seed : kSeeds) {
-        ReplayRng rr(seed);
-        Rng ref(seed);
+        Rng rng(seed);
+        std::mt19937_64 eng(seed);
         for (int i = 0; i < 600; ++i) {
             double p = (i % 7) / 6.0; // includes the draw-free 0 and 1
-            ASSERT_EQ(rr.chance(p), ref.chance(p)) << "draw " << i;
-            ASSERT_EQ(rr.uniformInt(0, 65535), ref.uniformInt(0, 65535));
+            ASSERT_EQ(rng.chance(p), stdChance(eng, p)) << "draw " << i;
+            ASSERT_EQ(rng.uniformInt(0, 65535), stdUniformInt(eng, 0, 65535));
         }
-        Rng handed(0);
-        rr.exportTo(handed);
-        EXPECT_EQ(handed.raw(), ref.raw());
+        EXPECT_EQ(rng.raw(), eng());
     }
 }
 
@@ -393,9 +401,9 @@ TEST(CpuOracle, CountersAndDramStreamIdenticalEverywhere)
 
 TEST(CpuOracle, RngStreamHandoffSpansRuns)
 {
-    // Back-to-back runs on one core: the blocked engine borrows the
-    // rng stream and must hand it back exactly where the reference
-    // engine would have left it, or the second run diverges.
+    // Back-to-back runs on one core: the blocked engine must leave the
+    // rng stream exactly where the reference engine would have left
+    // it, or the second run diverges.
     for (const char *shape : {"obfuscated", "plain"}) {
         HammerKernel k = shapedKernel(shape);
         RecordingMemory m1, m2;

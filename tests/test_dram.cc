@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <random>
 
 #include <gtest/gtest.h>
 
@@ -75,25 +76,30 @@ namespace
 {
 
 /**
- * The Rng-based weak-cell derivation weakCellsFor replaced, kept as
- * the oracle: the Reference row store shares weakCellsFor, so only a
- * copy of the original draw sequence can see a drift in the field.
+ * The weak-cell derivation in std::mt19937_64 and std distributions,
+ * kept as the oracle: the Reference row store shares weakCellsFor, so
+ * only a copy of the draw sequence outside Rng can see a drift in the
+ * field.
  */
 std::vector<WeakCell>
 rngWeakCellsFor(const DimmProfile &p, std::uint32_t bank, std::uint64_t row)
 {
     std::vector<WeakCell> cells;
-    if (!p.flippable)
+    // Rng::poisson returns 0 for a zero mean without drawing.
+    if (!p.flippable || p.weakCellsPerRow <= 0.0)
         return cells;
-    Rng rng(hashCombine(p.seed, hashCombine(bank, row)));
-    std::uint64_t n = rng.poisson(p.weakCellsPerRow);
+    std::mt19937_64 rng(hashCombine(p.seed, hashCombine(bank, row)));
+    std::uint64_t n =
+        std::poisson_distribution<std::uint64_t>(p.weakCellsPerRow)(rng);
     std::uint32_t max_bit = static_cast<std::uint32_t>(p.geom.rowBytes * 8);
     for (std::uint64_t i = 0; i < n; ++i) {
         WeakCell c;
         c.bitOffset = static_cast<std::uint32_t>(
-            rng.uniformInt(0, max_bit - 1));
-        c.trueCell = rng.chance(0.5);
-        double hc = rng.logNormal(p.hcLogMean, p.hcLogSigma);
+            std::uniform_int_distribution<std::uint64_t>(0, max_bit - 1)(
+                rng));
+        c.trueCell = std::bernoulli_distribution(0.5)(rng);
+        double hc = std::lognormal_distribution<double>(
+            p.hcLogMean, p.hcLogSigma)(rng);
         c.threshold = static_cast<std::uint32_t>(
             std::max<double>(p.hcMin, hc));
         cells.push_back(c);

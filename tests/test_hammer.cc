@@ -234,8 +234,9 @@ TEST(Sweep, DeterministicLocationsAndRates)
     for (auto f : res.flipsPerLocation)
         sum += f;
     EXPECT_EQ(sum, res.totalFlips);
-    if (res.totalFlips > 0)
+    if (res.totalFlips > 0) {
         EXPECT_GT(res.flipsPerMinute(), 0.0);
+    }
     // Cumulative time strictly increases.
     for (std::size_t i = 1; i < res.cumulativeTimeNs.size(); ++i)
         EXPECT_GT(res.cumulativeTimeNs[i], res.cumulativeTimeNs[i - 1]);

@@ -135,8 +135,9 @@ TEST_P(MappingBijection, InjectiveOnLargeSample)
         // Either new, or the exact same pa mapped twice.
         auto [it, fresh] = seen.insert(key);
         (void)it;
-        if (!fresh)
+        if (!fresh) {
             EXPECT_EQ(m.encode(da), pa);
+        }
         EXPECT_EQ(m.encode(da), pa);
     }
 }
@@ -251,8 +252,9 @@ TEST_P(BuddyStress, NoOverlapAndFullCoalesce)
             PhysAddr end = *blk + (pageBytes << order);
             // Overlap check against every held block.
             auto it = extents.lower_bound(*blk);
-            if (it != extents.end())
+            if (it != extents.end()) {
                 ASSERT_GE(it->first, end);
+            }
             if (it != extents.begin()) {
                 --it;
                 ASSERT_LE(it->second, *blk);

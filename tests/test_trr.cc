@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -85,8 +86,9 @@ namespace
 {
 
 /**
- * The per-bank vector-of-vectors sampler over Rng that TrrSampler's
- * flat tables and ReplayRng replaced, kept as the differential oracle.
+ * The per-bank vector-of-vectors sampler over std::mt19937_64 and
+ * std::bernoulli_distribution that TrrSampler's flat tables and Rng
+ * replaced, kept as the differential oracle.
  */
 class RngTrrSampler
 {
@@ -101,7 +103,7 @@ class RngTrrSampler
     {
         for (auto &table : tables)
             table.clear();
-        rng = Rng(cfg.seed);
+        rng.seed(cfg.seed);
         issued = 0;
     }
 
@@ -109,11 +111,11 @@ class RngTrrSampler
     observeAct(std::uint32_t bank, std::uint64_t row, Ns now)
     {
         std::optional<TrrTarget> ptrr_hit;
-        if (cfg.ptrr && rng.chance(cfg.ptrrSampleProb)) {
+        if (cfg.ptrr && chance(cfg.ptrrSampleProb)) {
             ++issued;
             ptrr_hit = TrrTarget{bank, row};
         }
-        if (!cfg.enabled || !rng.chance(cfg.sampleProb))
+        if (!cfg.enabled || !chance(cfg.sampleProb))
             return ptrr_hit;
         auto &table = tables[bank];
         for (auto &e : table) {
@@ -184,9 +186,20 @@ class RngTrrSampler
         std::uint32_t count;
     };
 
+    /** Rng::chance in std terms, with its draw-free edges. */
+    bool
+    chance(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return std::bernoulli_distribution(p)(rng);
+    }
+
     TrrConfig cfg;
     std::vector<std::vector<Entry>> tables;
-    Rng rng;
+    std::mt19937_64 rng;
     std::uint64_t issued = 0;
     Tracer *tracer = nullptr;
 };
