@@ -1,8 +1,8 @@
 /**
  * @file
  * google-benchmark micro-kernels for the hot paths of the simulator:
- * mapping decode/encode, DRAM access, branch prediction and the CPU
- * model's per-op cost.
+ * mapping decode/encode, DRAM access, the SBDR probe's fresh-row
+ * path, branch prediction and the CPU model's per-op cost.
  */
 
 #include <benchmark/benchmark.h>
@@ -11,6 +11,7 @@
 #include "cpu/sim_cpu.hh"
 #include "hammer/tuned_configs.hh"
 #include "memsys/memory_system.hh"
+#include "memsys/timing_probe.hh"
 
 using namespace rho;
 
@@ -59,6 +60,31 @@ BM_DimmAccess(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DimmAccess);
+
+void
+BM_ProbeFreshRows(benchmark::State &state)
+{
+    // One SBDR measurement per iteration, as mapping recovery takes
+    // them: every pair lands on two rows no earlier pair touched, so
+    // each ACT materializes fresh row state for itself and its four
+    // neighbours. Rows step by 5, keeping neighbourhoods disjoint.
+    MemorySystem sys(Arch::RaptorLake, DimmProfile::byId("S1"),
+                     TrrConfig{}, 5);
+    TimingProbe probe(sys, 5);
+    const AddressMapping &m = sys.mapping();
+    const std::uint32_t banks = m.numBanks();
+    const std::uint64_t slots = m.numRows() / 10;
+    std::uint64_t i = 0;
+    for (auto _ : state) {
+        std::uint32_t bank = static_cast<std::uint32_t>(i % banks);
+        std::uint64_t row = (i / banks % slots) * 10;
+        benchmark::DoNotOptimize(probe.measurePair(
+            m.encode({bank, row, 0}), m.encode({bank, row + 5, 0})));
+        ++i;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ProbeFreshRows);
 
 void
 BM_BranchPredictor(benchmark::State &state)

@@ -33,6 +33,10 @@ Dimm::Dimm(const DimmProfile &profile, const DramTiming &timing,
               "(%u B)",
               ecc.codewordBytes,
               static_cast<unsigned>(profile.geom.rowBytes));
+    // weakCellsFor clamps every threshold to hcMin and derives nothing
+    // for a non-flippable profile.
+    if (prof.flippable && prof.weakCellsPerRow > 0.0)
+        cellFloor = static_cast<double>(prof.hcMin);
 }
 
 void
@@ -47,6 +51,7 @@ Dimm::reset()
     std::fill(bankLastActAt.begin(), bankLastActAt.end(), -1e18);
     std::fill(bankRefSeen.begin(), bankRefSeen.end(), 0.0);
     acts = 0;
+    cellRows = 0;
     nextTrrTick = tim.tREFI;
     pendingStall = 0.0;
     rfmStalls = 0.0;
@@ -61,22 +66,19 @@ Dimm::setRowStore(RowStoreKind kind)
 {
     if (kind == store)
         return;
-    if (acts != 0 || anyRowState())
+    if (acts != 0 || rowCount() != 0)
         panic("Dimm::setRowStore: row state already materialized; "
               "select the store right after construction or reset()");
     store = kind;
 }
 
-bool
-Dimm::anyRowState() const
+std::uint64_t
+Dimm::rowCount() const
 {
-    if (!rows.empty())
-        return true;
-    for (const BankRows &b : bankRows) {
-        if (!b.pool.empty())
-            return true;
-    }
-    return false;
+    std::uint64_t n = rows.size();
+    for (const BankRows &b : bankRows)
+        n += b.pool.size();
+    return n;
 }
 
 Ns
@@ -184,6 +186,7 @@ Dimm::flatLookup(BankRows &b, std::uint64_t row, Ns now)
         b.pool.emplace_back();
         rs = &b.pool.back();
         rs->lastRefresh = autoRefreshBefore(row, now);
+        rs->minUnflipped = cellFloor;
         std::size_t mask = b.keys.size() - 1;
         std::size_t i = splitMix64(row) & mask;
         while (b.keys[i] != BankRows::emptyKey)
@@ -217,20 +220,32 @@ Dimm::rowState(std::uint32_t bank, std::uint64_t row, Ns now)
     return rs;
 }
 
+Dimm::RowCold &
+Dimm::coldOf(RowState &rs)
+{
+    if (!rs.cold)
+        rs.cold = std::make_unique<RowCold>();
+    return *rs.cold;
+}
+
+bool
+Dimm::hasData(const RowState &rs)
+{
+    return rs.cold && !rs.cold->data.empty();
+}
+
 std::vector<std::uint8_t> &
 Dimm::materializeData(RowState &rs)
 {
-    if (!rs.data) {
-        rs.data = std::make_unique<std::vector<std::uint8_t>>(
-            prof.geom.rowBytes, rs.fill);
+    RowCold &c = coldOf(rs);
+    if (c.data.empty()) {
+        c.data.assign(prof.geom.rowBytes, rs.fill);
         // The ECC shadow materializes with the data: both start as the
         // fill pattern, so data implies shadow while ECC is on.
-        if (ecc.enabled) {
-            rs.shadow = std::make_unique<std::vector<std::uint8_t>>(
-                prof.geom.rowBytes, rs.fill);
-        }
+        if (ecc.enabled)
+            c.shadow.assign(prof.geom.rowBytes, rs.fill);
     }
-    return *rs.data;
+    return c.data;
 }
 
 /**
@@ -242,8 +257,8 @@ EccDecision
 Dimm::decodeCodeword(const RowState &rs, std::uint32_t base) const
 {
     std::vector<std::uint32_t> errs;
-    const auto &data = *rs.data;
-    const auto &shadow = *rs.shadow;
+    const auto &data = rs.cold->data;
+    const auto &shadow = rs.cold->shadow;
     for (std::uint32_t b = 0; b < ecc.codewordBytes; ++b) {
         std::uint8_t diff = data[base + b] ^ shadow[base + b];
         while (diff) {
@@ -259,9 +274,12 @@ void
 Dimm::recomputeMinThreshold(RowState &rs)
 {
     double m = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < rs.cells.size(); ++i) {
-        if (!rs.flipped[i])
-            m = std::min(m, static_cast<double>(rs.cells[i].threshold));
+    if (rs.cold) {
+        const RowCold &c = *rs.cold;
+        for (std::size_t i = 0; i < c.cells.size(); ++i) {
+            if (!c.flipped[i])
+                m = std::min(m, static_cast<double>(c.cells[i].threshold));
+        }
     }
     rs.minUnflipped = m;
 }
@@ -277,9 +295,14 @@ Dimm::disturbNeighbour(std::uint32_t bank, std::uint64_t victim,
 void
 Dimm::initCells(RowState &rs, std::uint32_t bank, std::uint64_t victim)
 {
-    rs.cells = prof.weakCellsFor(bank, victim);
-    rs.flipped.assign(rs.cells.size(), false);
+    std::vector<WeakCell> cells = prof.weakCellsFor(bank, victim);
     rs.cellsInit = true;
+    ++cellRows;
+    if (!cells.empty()) {
+        RowCold &c = coldOf(rs);
+        c.flipped.assign(cells.size(), false);
+        c.cells = std::move(cells);
+    }
     recomputeMinThreshold(rs);
 }
 
@@ -291,26 +314,39 @@ Dimm::disturbCells(RowState &rs, std::uint32_t bank, std::uint64_t victim,
     RHO_TRACE(tracer, now, EventKind::Disturb, 0, bank, victim,
               traceBits(weight));
 
-    if (!rs.cellsInit)
-        initCells(rs, bank, victim);
-    if (rs.cells.empty())
+    // The Reference oracle derives cells on the first disturbance and
+    // scans on every one.
+    if (store == RowStoreKind::Reference) {
+        if (!rs.cellsInit)
+            initCells(rs, bank, victim);
+        scanCells(rs, bank, victim, now);
         return;
+    }
     // Common-case O(1) exit: no unlatched cell can have crossed its
     // threshold yet (minUnflipped is a conservative lower bound), so
     // the scan below — including its fault-injection draws — cannot
     // do anything.
-    if (store == RowStoreKind::Flat && rs.disturb < rs.minUnflipped)
-        return;
-
-    scanCells(rs, bank, victim, now);
+    if (rs.disturb >= rs.minUnflipped)
+        scanCells(rs, bank, victim, now);
 }
 
 void
 Dimm::scanCells(RowState &rs, std::uint32_t bank, std::uint64_t victim,
                 Ns now)
 {
-    for (std::size_t i = 0; i < rs.cells.size(); ++i) {
-        if (rs.flipped[i] || rs.disturb < rs.cells[i].threshold)
+    // A Flat row derives its cells here, the first time its
+    // disturbance reaches cellFloor: below the floor no cell could
+    // have latched, so deriving earlier would change nothing.
+    if (!rs.cellsInit) {
+        initCells(rs, bank, victim);
+        if (rs.disturb < rs.minUnflipped)
+            return;
+    }
+    if (!rs.cold)
+        return;
+    RowCold &cold = *rs.cold;
+    for (std::size_t i = 0; i < cold.cells.size(); ++i) {
+        if (cold.flipped[i] || rs.disturb < cold.cells[i].threshold)
             continue;
         // Injected non-reproduction (Kim et al.: flip reproducibility
         // is itself probabilistic): the cell spontaneously retains its
@@ -331,7 +367,7 @@ Dimm::scanCells(RowState &rs, std::uint32_t bank, std::uint64_t victim,
         // flip only manifests if the stored bit is in the vulnerable
         // orientation (true cell storing 1, anti cell storing 0).
         auto &data = materializeData(rs);
-        const WeakCell &c = rs.cells[i];
+        const WeakCell &c = cold.cells[i];
         std::uint32_t byte = c.bitOffset >> 3;
         std::uint8_t mask = 1u << (c.bitOffset & 7);
         bool stored_one = data[byte] & mask;
@@ -346,7 +382,7 @@ Dimm::scanCells(RowState &rs, std::uint32_t bank, std::uint64_t victim,
             RHO_TRACE(tracer, now, EventKind::BitFlip, 1, bank, victim,
                       c.bitOffset);
         }
-        rs.flipped[i] = true;
+        cold.flipped[i] = true;
     }
     recomputeMinThreshold(rs);
 }
@@ -530,15 +566,13 @@ Dimm::doAct(std::uint32_t bank, std::uint64_t row, Ns now)
             if (!(now < nb.arBoundary && nb.lastRefresh >= nb.arLast))
                 applyAutoRefresh(nb, bank, victim, now);
             // Inlined disturbCells fast path (same checks, same order):
-            // accumulate, trace, lazily materialize the cell list, and
-            // only fall into the scan when an unlatched cell could
-            // actually have crossed its threshold.
+            // accumulate, trace, and only fall into the scan (which
+            // derives the cell list on first use) when an unlatched
+            // cell could actually have crossed its threshold.
             nb.disturb += w;
             RHO_TRACE(tracer, now, EventKind::Disturb, 0, bank, victim,
                       traceBits(w));
-            if (!nb.cellsInit)
-                initCells(nb, bank, victim);
-            if (!nb.cells.empty() && nb.disturb >= nb.minUnflipped)
+            if (nb.disturb >= nb.minUnflipped)
                 scanCells(nb, bank, victim, now);
         }
         return;
@@ -642,40 +676,40 @@ Dimm::writeBytes(const DramAddr &da, const std::uint8_t *data,
     RowState &rs = rowState(da.bank, da.row, now);
     auto &bytes = materializeData(rs);
     std::copy(data, data + len, bytes.begin() + da.col);
+    RowCold &cold = *rs.cold;
     // The device recomputes check bits over the written data: the
     // shadow tracks exactly what was last written.
-    if (rs.shadow)
-        std::copy(data, data + len, rs.shadow->begin() + da.col);
+    if (!cold.shadow.empty())
+        std::copy(data, data + len, cold.shadow.begin() + da.col);
     // The write activates and restores the row.
     resetDisturb(rs, da.bank, da.row, now, ResetSource::DataWrite);
     rs.lastRefresh = now;
     // Re-arm exactly the latches whose stored byte was rewritten: a
     // partial write leaves cells outside the range latched (their data
     // was not touched, so there is no fresh charge state to lose).
-    if (rs.cellsInit && !rs.cells.empty()) {
-        bool rearmed = false;
-        for (std::size_t i = 0; i < rs.cells.size(); ++i) {
-            std::uint32_t byte = rs.cells[i].bitOffset >> 3;
-            if (rs.flipped[i] && byte >= da.col && byte < da.col + len) {
-                rs.flipped[i] = false;
-                rearmed = true;
-            }
+    bool rearmed = false;
+    for (std::size_t i = 0; i < cold.cells.size(); ++i) {
+        std::uint32_t byte = cold.cells[i].bitOffset >> 3;
+        if (cold.flipped[i] && byte >= da.col && byte < da.col + len) {
+            cold.flipped[i] = false;
+            rearmed = true;
         }
-        if (rearmed)
-            recomputeMinThreshold(rs);
     }
+    if (rearmed)
+        recomputeMinThreshold(rs);
 }
 
 std::uint8_t
 Dimm::readByte(const DramAddr &da, Ns now)
 {
     RowState &rs = rowState(da.bank, da.row, now);
-    std::uint8_t v = rs.data ? (*rs.data)[da.col] : rs.fill;
+    bool has_data = hasData(rs);
+    std::uint8_t v = has_data ? rs.cold->data[da.col] : rs.fill;
     // On-die ECC runs on the read path, per codeword. An event is
     // emitted only when the decoder's action lands in the byte being
     // returned — i.e. when the controller-visible value differs from
     // the raw cells.
-    if (ecc.enabled && rs.data) {
+    if (ecc.enabled && has_data) {
         std::uint32_t base = da.col - (da.col % ecc.codewordBytes);
         EccDecision d = decodeCodeword(rs, base);
         if (d.action == EccAction::Corrected
@@ -707,15 +741,16 @@ Dimm::fillRow(std::uint32_t bank, std::uint64_t row, std::uint8_t pattern,
 {
     RowState &rs = rowState(bank, row, now);
     rs.fill = pattern;
-    if (rs.data)
-        std::fill(rs.data->begin(), rs.data->end(), pattern);
-    if (rs.shadow)
-        std::fill(rs.shadow->begin(), rs.shadow->end(), pattern);
     resetDisturb(rs, bank, row, now, ResetSource::DataWrite);
     rs.lastRefresh = now;
+    if (!rs.cold)
+        return;
+    RowCold &cold = *rs.cold;
+    std::fill(cold.data.begin(), cold.data.end(), pattern);
+    std::fill(cold.shadow.begin(), cold.shadow.end(), pattern);
     // The whole row's data is rewritten: every latch re-arms.
     if (rs.cellsInit) {
-        std::fill(rs.flipped.begin(), rs.flipped.end(), false);
+        std::fill(cold.flipped.begin(), cold.flipped.end(), false);
         recomputeMinThreshold(rs);
     }
 }
@@ -726,9 +761,9 @@ Dimm::diffRow(std::uint32_t bank, std::uint64_t row, std::uint8_t expected,
 {
     std::vector<FlipRecord> out;
     RowState &rs = rowState(bank, row, now);
-    if (!rs.data)
+    if (!hasData(rs))
         return out;
-    const auto &bytes = *rs.data;
+    const auto &bytes = rs.cold->data;
     if (!ecc.enabled) {
         for (std::uint32_t b = 0; b < bytes.size(); ++b) {
             std::uint8_t diff = bytes[b] ^ expected;

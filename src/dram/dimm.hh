@@ -35,6 +35,16 @@
  * both produce bit-identical traces and flip sequences (pinned by the
  * differential tests in tests/test_rowstore.cc and the committed
  * goldens).
+ *
+ * Lazy weak cells: DimmProfile::weakCellsFor clamps every threshold to
+ * hcMin, so no cell can latch before a row's disturbance reaches it.
+ * A Flat row therefore derives its cell list only on the disturbance
+ * that first reaches that floor (the Reference store derives it on the
+ * first disturbance, as the oracle). An SBDR probe touches thousands
+ * of rows with a few ACTs each and derives none. Per-row state is
+ * split to match: a small hot RowState that every neighbour ACT reads,
+ * and a cold block (cells, latches, data, ECC shadow) allocated only
+ * for rows that derive cells or have their data written.
  */
 
 #ifndef RHO_DRAM_DIMM_HH
@@ -159,6 +169,10 @@ class Dimm
     void clearFlipLog() { flips.clear(); }
 
     std::uint64_t totalActs() const { return acts; }
+    /** Rows with materialized state (touched since construction/reset). */
+    std::uint64_t rowCount() const;
+    /** Rows whose weak-cell list was derived (DimmProfile::weakCellsFor). */
+    std::uint64_t cellRowCount() const { return cellRows; }
     std::uint64_t trrRefreshCount() const { return trr.targetedRefreshes(); }
     std::uint64_t rfmCommandCount() const { return rfm.rfmCommands(); }
     std::uint64_t pracAlertCount() const { return prac.alerts(); }
@@ -212,14 +226,17 @@ class Dimm
     }
 
   private:
-    struct RowState
+    /**
+     * The bulky per-row state, allocated on first use: only rows whose
+     * disturbance reached the cell floor, or whose data was written,
+     * ever own one. A row without it has no derived cells and reads
+     * back its fill pattern.
+     */
+    struct RowCold
     {
-        Ns lastRefresh = -1e18;
-        double disturb = 0.0;
-        bool cellsInit = false;
         std::vector<WeakCell> cells;
-        std::vector<bool> flipped;
-        std::unique_ptr<std::vector<std::uint8_t>> data;
+        std::vector<bool> flipped; //!< per-cell flip latch
+        std::vector<std::uint8_t> data; //!< empty until materialized
         /**
          * As-written copy of the row (on-die ECC only): what the
          * device's check bits were computed over. Maintained by the
@@ -227,15 +244,25 @@ class Dimm
          * flip machinery — the shadow-vs-data diff per codeword is
          * exactly the decoder's error set.
          */
-        std::unique_ptr<std::vector<std::uint8_t>> shadow;
-        std::uint8_t fill = 0;
+        std::vector<std::uint8_t> shadow;
+    };
+
+    /** Hot per-row state: what every ACT of a neighbour reads. */
+    struct RowState
+    {
+        Ns lastRefresh = -1e18;
+        double disturb = 0.0;
 
         /**
          * Conservative lower bound on the smallest threshold among
          * unlatched weak cells (+inf when none): the threshold scan
          * runs only when `disturb` reaches it. Invariant:
-         * minUnflipped <= min{threshold(c) : c unlatched}, so a stale
-         * (too-low) bound costs a wasted scan but never skips a flip.
+         * minUnflipped <= min{threshold(c) : c unlatched}, where a
+         * row whose cells are not derived yet counts the cells
+         * weakCellsFor would return. A Flat row starts at cellFloor,
+         * below which no cell can latch, and derives its cells when
+         * `disturb` first reaches it. A stale (too-low) bound costs
+         * a wasted scan but never skips a flip.
          */
         double minUnflipped = std::numeric_limits<double>::infinity();
 
@@ -246,6 +273,10 @@ class Dimm
         // a no-op and returns after one comparison.
         Ns arLast = 1e18;
         Ns arBoundary = -1e18;
+
+        std::unique_ptr<RowCold> cold;
+        bool cellsInit = false;
+        std::uint8_t fill = 0;
     };
 
     /** Per-bank flat row store: index + pool + lookup caches. */
@@ -298,7 +329,6 @@ class Dimm
     RowState *flatFind(BankRows &b, std::uint64_t row) const;
     RowState *flatLookup(BankRows &b, std::uint64_t row, Ns now);
     void flatGrow(BankRows &b);
-    bool anyRowState() const;
     void applyAutoRefresh(RowState &rs, std::uint32_t bank,
                           std::uint64_t row, Ns now);
     Ns autoRefreshBefore(std::uint64_t row, Ns now) const;
@@ -316,6 +346,8 @@ class Dimm
                    Ns now);
     void recomputeMinThreshold(RowState &rs);
     void processTrrTicks(Ns now);
+    static RowCold &coldOf(RowState &rs);
+    static bool hasData(const RowState &rs);
     std::vector<std::uint8_t> &materializeData(RowState &rs);
     EccDecision decodeCodeword(const RowState &rs,
                                std::uint32_t base) const;
@@ -349,6 +381,14 @@ class Dimm
     std::unordered_map<std::uint64_t, RowState> rows; //!< Reference
     std::vector<FlipRecord> flips;
     std::uint64_t acts = 0;
+    std::uint64_t cellRows = 0; //!< rows whose weak cells were derived
+    /**
+     * Lowest threshold any derived cell can have: hcMin, or +inf when
+     * the profile derives no cells at all. New Flat rows start their
+     * minUnflipped here, so cells are derived only where a flip is
+     * possible.
+     */
+    double cellFloor = std::numeric_limits<double>::infinity();
     /**
      * Next tREFI epoch boundary. Constructed (and reset) to the first
      * tick, so the per-ACT mitigation-clock check in processTrrTicks

@@ -36,6 +36,18 @@ archArg(Arch arch)
     panic("archArg: bad arch");
 }
 
+const char *
+archId(Arch arch)
+{
+    switch (arch) {
+#define RHO_ARCH_ID_CASE(name)                                          \
+      case Arch::name: return #name;
+        RHO_ARCH_LIST(RHO_ARCH_ID_CASE)
+#undef RHO_ARCH_ID_CASE
+    }
+    panic("archId: bad arch");
+}
+
 Arch
 parseArch(const std::string &token)
 {

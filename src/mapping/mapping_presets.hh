@@ -63,6 +63,9 @@ std::string archName(Arch arch);
 /** Command-line token, e.g. "comet"; parseArch() is its inverse. */
 const char *archArg(Arch arch);
 
+/** RHO_ARCH_LIST enum identifier, e.g. "CometLake". */
+const char *archId(Arch arch);
+
 /** The Arch whose archArg() is `token`; fatal() on any other. */
 Arch parseArch(const std::string &token);
 

@@ -37,7 +37,7 @@ MemorySystem::MemorySystem(Arch arch, const DimmProfile &dimm,
                            std::uint64_t seed, const RfmConfig &rfm_cfg,
                            const PracConfig &prac_cfg,
                            const EccConfig &ecc_cfg, double refresh_boost)
-    : archId(arch), params(&ArchParams::forArch(arch))
+    : archKind(arch), params(&ArchParams::forArch(arch))
 {
     // The platform clamps the DIMM to its supported data rate. The
     // profile's MemStandard picks the timing preset; Auto keeps the

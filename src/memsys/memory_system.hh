@@ -86,7 +86,7 @@ class MemorySystem : public MemoryBackend
     /** Fold a CPU-run end time into the global clock. */
     void syncTo(Ns t) { clock = std::max(clock, t); }
 
-    Arch arch() const { return archId; }
+    Arch arch() const { return archKind; }
     const ArchParams &cpuParams() const { return *params; }
     const AddressMapping &mapping() const { return mc->mapping(); }
     MemoryController &controller() { return *mc; }
@@ -142,7 +142,7 @@ class MemorySystem : public MemoryBackend
     }
 
   private:
-    Arch archId;
+    Arch archKind;
     const ArchParams *params;
     std::unique_ptr<MemoryController> mc;
     FaultInjector *injector = nullptr;

@@ -98,6 +98,7 @@ PhysPool::PhysPool(BuddyAllocator &buddy, double fraction)
     ownedBitmap.assign(total_pages, false);
     std::uint64_t target =
         static_cast<std::uint64_t>(fraction * total_pages);
+    pageList.reserve(target);
     unsigned misses = 0;
     while (pageList.size() < target) {
         // Grab large blocks first (fast and realistic: the kernel

@@ -50,6 +50,8 @@ addMetrics(MetricsRegistry &m, const Dimm &dimm)
     m.add("dram.refreshes.trr", dimm.trrRefreshCount());
     m.add("dram.refreshes.rfm", dimm.rfmCommandCount());
     m.add("dram.flips", dimm.flipLog().size());
+    m.add("dram.rows", dimm.rowCount());
+    m.add("dram.cell_rows", dimm.cellRowCount());
 }
 
 /** Campaign scheduling counters → "parallel.*". */

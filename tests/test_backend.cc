@@ -46,26 +46,12 @@ profileFor(Arch arch)
                                    : DimmProfile::byId("S2");
 }
 
-/** Enum identifier for an arch ("Zen3", "CortexA72", ...) — used as
- *  the gtest parameter name so CI legs can --gtest_filter by backend
- *  instead of by fragile parameter index. */
-std::string
-archToken(Arch arch)
-{
-    switch (arch) {
-#define RHO_ARCH_TOKEN_CASE(name)                                       \
-    case Arch::name:                                                    \
-        return #name;
-        RHO_ARCH_LIST(RHO_ARCH_TOKEN_CASE)
-#undef RHO_ARCH_TOKEN_CASE
-    }
-    return "Unknown";
-}
-
+/** gtest parameter name: the enum identifier ("Zen3", ...), so CI
+ *  legs can --gtest_filter by backend instead of by parameter index. */
 std::string
 archParamName(const ::testing::TestParamInfo<Arch> &info)
 {
-    return archToken(info.param);
+    return archId(info.param);
 }
 
 bool

@@ -12,6 +12,7 @@
 #include "revng/baseline_drama.hh"
 #include "revng/baseline_dramdig.hh"
 #include "revng/reverse_engineer.hh"
+#include "trace/metrics_adapters.hh"
 
 using namespace rho;
 
@@ -82,6 +83,19 @@ TEST(RhoRe, RecoversDualRankGeometry)
     ASSERT_TRUE(rec.success) << rec.failureReason;
     EXPECT_EQ(rec.bankFns.size(), 5u);
     EXPECT_TRUE(rec.matches(rig.sys.mapping()));
+}
+
+TEST(RhoRe, RecoveryDerivesNoWeakCells)
+{
+    // Algorithm 1 only times SBDR pairs: no row's disturbance comes
+    // near HC_first, so the device derives no weak-cell list at all.
+    Rig rig(Arch::RaptorLake, "S1", 13);
+    RhoReverseEngineer re(rig.probe, rig.pool, 13);
+    ASSERT_TRUE(re.run().success);
+    MetricsRegistry m;
+    addMetrics(m, rig.sys.dimm());
+    EXPECT_GT(m.value("dram.rows"), 10000u);
+    EXPECT_EQ(m.value("dram.cell_rows"), 0u);
 }
 
 class RhoReRandomized : public ::testing::TestWithParam<unsigned>

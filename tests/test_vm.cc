@@ -44,22 +44,9 @@ profileFor(Arch arch)
 }
 
 std::string
-archToken(Arch arch)
-{
-    switch (arch) {
-#define RHO_ARCH_TOKEN_CASE(name)                                       \
-    case Arch::name:                                                    \
-        return #name;
-        RHO_ARCH_LIST(RHO_ARCH_TOKEN_CASE)
-#undef RHO_ARCH_TOKEN_CASE
-    }
-    return "Unknown";
-}
-
-std::string
 archParamName(const ::testing::TestParamInfo<Arch> &info)
 {
-    return archToken(info.param);
+    return archId(info.param);
 }
 
 /** A rig with two carved tenants for the unit-level tests. */
